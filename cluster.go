@@ -387,21 +387,8 @@ func (c *Cluster) train(w Workload, o *sessionOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.batchSize > 0 {
-		w.BatchSize = o.batchSize
-	}
-	if o.epochs > 0 {
-		w = w.WithEpochs(o.epochs)
-	}
-	if o.iterations > 0 {
-		w = w.WithIterations(o.iterations)
-	}
-	// Same guard as Open: with drop-last semantics a batch larger than the
-	// dataset yields zero batches per epoch, which would spin the index
-	// source forever instead of terminating.
-	if w.Spec().BatchesPerEpoch() == 0 {
-		return nil, configErr("WithBatchSize", fmt.Sprintf("batch size %d exceeds dataset %q size %d",
-			w.BatchSize, w.Dataset.Name(), w.Dataset.Len()))
+	if w, err = o.budget(w); err != nil {
+		return nil, err
 	}
 
 	if _, err := c.admit(); err != nil {
@@ -441,6 +428,27 @@ func (c *Cluster) train(w Workload, o *sessionOptions) (*Report, error) {
 		rep, err = trainer.RunEnv(env, c.disk, c.cache, w, f, o.params)
 	}
 	return rep, err
+}
+
+// budget applies the batch-size and budget options to w, the rule both
+// training entry points share. Like Open it rejects a batch larger than the
+// dataset: with drop-last semantics that yields zero batches per epoch,
+// which would spin the index source forever instead of terminating.
+func (o *sessionOptions) budget(w Workload) (Workload, error) {
+	if o.batchSize > 0 {
+		w.BatchSize = o.batchSize
+	}
+	if o.epochs > 0 {
+		w = w.WithEpochs(o.epochs)
+	}
+	if o.iterations > 0 {
+		w = w.WithIterations(o.iterations)
+	}
+	if w.Spec().BatchesPerEpoch() == 0 {
+		return w, configErr("WithBatchSize", fmt.Sprintf("batch size %d exceeds dataset %q size %d",
+			w.BatchSize, w.Dataset.Name(), w.Dataset.Len()))
+	}
+	return w, nil
 }
 
 // sessionGPUs validates how many of the cluster's GPUs a session may use.

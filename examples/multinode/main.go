@@ -34,9 +34,8 @@ import (
 func train(loader string, extra ...minato.Option) *minato.MultiNodeReport {
 	opts := []minato.Option{
 		minato.WithTopology(minato.Topology{
-			Nodes:           4,
-			StragglerNode:   1,
-			StragglerFactor: 8,
+			Nodes:      4,
+			Stragglers: []minato.NodeFault{{Node: 1, Factor: 8}},
 		}),
 		minato.WithLoader(loader),
 		minato.WithGPUs(1),

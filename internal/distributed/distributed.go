@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -112,16 +111,6 @@ type Config struct {
 	// both directions — a flaky cable or oversubscribed leaf switch.
 	Degraded []NodeFault
 
-	// StragglerFactor > 1 divides StragglerNode's CPU core count: sugar for
-	// one Stragglers entry, kept for callers configuring a single fault.
-	StragglerNode   int
-	StragglerFactor float64
-
-	// DegradedFactor > 1 divides DegradedNode's NIC bandwidth: sugar for
-	// one Degraded entry.
-	DegradedNode   int
-	DegradedFactor float64
-
 	// Script injects scripted faults during the run (see package chaos).
 	// Membership events switch the run into elastic mode.
 	Script chaos.Script
@@ -172,24 +161,6 @@ func (c Config) WithChaos(s chaos.Script) Config {
 	return c
 }
 
-// stragglerFaults merges the slice and the legacy single-fault fields.
-func (c Config) stragglerFaults() []NodeFault {
-	fs := append([]NodeFault(nil), c.Stragglers...)
-	if c.StragglerFactor > 1 {
-		fs = append(fs, NodeFault{c.StragglerNode, c.StragglerFactor})
-	}
-	return fs
-}
-
-// degradedFaults merges the slice and the legacy single-fault fields.
-func (c Config) degradedFaults() []NodeFault {
-	fs := append([]NodeFault(nil), c.Degraded...)
-	if c.DegradedFactor > 1 {
-		fs = append(fs, NodeFault{c.DegradedNode, c.DegradedFactor})
-	}
-	return fs
-}
-
 // nodeConfigs resolves the per-node hardware, applying the straggler
 // scenario.
 func (c Config) nodeConfigs() []hardware.Config {
@@ -201,7 +172,7 @@ func (c Config) nodeConfigs() []hardware.Config {
 			cfgs = append(cfgs, c.Node)
 		}
 	}
-	for _, s := range c.stragglerFaults() {
+	for _, s := range c.Stragglers {
 		if s.Factor > 1 && s.Node >= 0 && s.Node < len(cfgs) {
 			n := &cfgs[s.Node]
 			n.Cores = int(float64(n.Cores) / s.Factor)
@@ -275,9 +246,6 @@ func (r *Report) Trace() []trace.Span { return r.spans }
 func (r *Report) CriticalPath() []trace.BatchPath {
 	return trace.CriticalPath(r.spans)
 }
-
-// SetTrace installs a recorded span set.
-func (r *Report) SetTrace(spans []trace.Span) { r.spans = spans }
 
 // StepTime is the whole-cluster synchronized step time — the number the
 // per-step barrier makes everyone pay together.
@@ -378,12 +346,12 @@ func Run(cfg Config, w workload.Workload, f trainer.Factory) (*Report, error) {
 }
 
 // nodeState is one node's runtime wiring plus its stall accounting
-// (consumers of the node add concurrently).
+// (consumers of the node add concurrently). The node's consumer step owns
+// its data-stall and sample counters.
 type nodeState struct {
 	tb           *hardware.Testbed
 	env          *loader.Env
-	samples      atomic.Int64
-	dataStall    atomic.Int64
+	step         *trainer.Step
 	barrierStall atomic.Int64
 	networkStall atomic.Int64
 	downtime     atomic.Int64
@@ -403,24 +371,12 @@ type memberView struct {
 	done    bool
 }
 
-// winKey identifies an open fault window (disk events use node -1: they
-// target the storage substrate as a whole).
-type winKey struct {
-	kind chaos.Kind
-	node int
-}
-
-type openWin struct {
-	idx   int // index into ctrl.faults
-	stall time.Duration
-}
-
 // ctrl is the run's chaos-and-SLO controller. Its onBoundary hook runs in
 // the resume barrier's releasing arriver — single-threaded by construction
 // (the next release cannot begin until every consumer re-arrives), so the
-// round counter, histogram, and view swaps need no locking. The mutex
-// guards only the fault table, which the continuous-event engine task also
-// appends to.
+// round counter, histogram, and view swaps need no locking. The fault
+// ledger locks for itself: the continuous-event engine task also writes to
+// it.
 type ctrl struct {
 	k       *simtime.Virtual
 	cfg     Config
@@ -430,10 +386,9 @@ type ctrl struct {
 	wg      *simtime.WaitGroup
 	nodes   []*nodeState
 	baseBW  []float64
-	disks   []*storage.Disk // DiskDegrade targets
 	seed    uint64
 	elastic bool
-	tr      *trace.Recorder
+	ledger  *chaos.Ledger
 
 	view atomic.Pointer[memberView]
 
@@ -445,11 +400,6 @@ type ctrl struct {
 	lastBoundary time.Duration
 	hist         *stats.LogHist
 
-	mu         sync.Mutex
-	faults     []chaos.FaultStat
-	open       map[winKey]openWin
-	pendingRec map[int]int // node → faults index awaiting first post-join step
-
 	consumeErr atomic.Value
 }
 
@@ -458,87 +408,36 @@ type ctrl struct {
 func (st *ctrl) totalStall() time.Duration {
 	var sum int64
 	for _, nd := range st.nodes {
-		sum += nd.dataStall.Load() + nd.barrierStall.Load() + nd.networkStall.Load()
+		sum += nd.step.DataStall.Load() + nd.barrierStall.Load() + nd.networkStall.Load()
 	}
 	return time.Duration(sum)
 }
 
-// openFault records a fault taking effect. Callers hold no locks.
-func (st *ctrl) openFault(ev chaos.Event, now time.Duration) {
-	key := winKey{ev.Kind, ev.Node}
-	if ev.Kind == chaos.DiskDegrade {
-		key.node = -1
-	}
-	st.mu.Lock()
-	st.faults = append(st.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
-	st.open[key] = openWin{idx: len(st.faults) - 1, stall: st.totalStall()}
-	st.mu.Unlock()
-	st.tr.Instant(trace.Span{Stage: trace.StageFault, Node: int32(key.node),
-		Key: int64(ev.Kind)}, now)
-}
-
-// closeFault clears the open window opened by kind on node, attributing
-// the stall accumulated in between.
-func (st *ctrl) closeFault(kind chaos.Kind, node int, now time.Duration) {
-	var applied time.Duration
-	closed := false
-	st.mu.Lock()
-	if w, ok := st.open[winKey{kind, node}]; ok {
-		st.faults[w.idx].ClearedAt = now
-		st.faults[w.idx].StallDuring = st.totalStall() - w.stall
-		applied = st.faults[w.idx].AppliedAt
-		closed = true
-		delete(st.open, winKey{kind, node})
-	}
-	st.mu.Unlock()
-	if closed {
-		st.tr.Record(trace.Span{Start: applied, End: now, Stage: trace.StageFaultWindow,
-			Node: int32(node), Key: int64(kind)})
-	}
-}
-
 // applyContinuous handles the engine-replayed event kinds at their exact
-// scripted times.
+// scripted times. Disk windows key on node -1: they target the storage
+// substrate as a whole.
 func (st *ctrl) applyContinuous(ev chaos.Event) {
-	now := st.k.Now()
 	switch ev.Kind {
 	case chaos.LinkDegrade:
 		if ev.Node >= 0 && ev.Node < len(st.baseBW) {
 			st.fab.SetBandwidth(ev.Node, st.baseBW[ev.Node]/ev.Factor)
-			st.openFault(ev, now)
+			st.ledger.Open(ev, ev.Node)
 		}
 	case chaos.LinkRestore:
 		if ev.Node >= 0 && ev.Node < len(st.baseBW) {
 			st.fab.SetBandwidth(ev.Node, st.baseBW[ev.Node])
-			st.closeFault(chaos.LinkDegrade, ev.Node, now)
+			st.ledger.Close(chaos.LinkDegrade, ev.Node)
 		}
 	case chaos.DiskDegrade:
 		// The slowdown timeline was pre-installed before the run started;
 		// only the fault window is recorded here.
-		st.openFault(ev, now)
+		st.ledger.Open(ev, -1)
 	case chaos.DiskRestore:
-		st.closeFault(chaos.DiskDegrade, -1, now)
+		st.ledger.Close(chaos.DiskDegrade, -1)
 	case chaos.WorkerStall:
-		if ev.Node < 0 || ev.Node >= len(st.nodes) {
-			return
+		if ev.Node >= 0 && ev.Node < len(st.nodes) {
+			st.ledger.StallWorkers(st.wg, st.nodes[ev.Node].tb.CPU, ev, ev.Node)
 		}
-		st.openFault(ev, now)
-		cpu := st.nodes[ev.Node].tb.CPU
-		hogs := int(math.Ceil(ev.Factor * cpu.Capacity()))
-		if hogs < 1 {
-			hogs = 1
-		}
-		hogWG := simtime.NewWaitGroup(st.k)
-		for h := 0; h < hogs; h++ {
-			hogWG.Go("chaos-hog", func() {
-				_ = cpu.Run(context.Background(), ev.Duration)
-			})
-		}
-		node := ev.Node
-		st.wg.Go("chaos-hog-closer", func() {
-			_ = hogWG.Wait(context.Background())
-			st.closeFault(chaos.WorkerStall, node, st.k.Now())
-		})
 	}
 }
 
@@ -552,14 +451,9 @@ func (st *ctrl) onBoundary(uint64) {
 	st.hist.AddDuration(now - st.lastBoundary)
 	st.lastBoundary = now
 	st.rounds++
-	if len(st.pendingRec) > 0 {
-		st.mu.Lock()
-		for node, idx := range st.pendingRec {
-			st.faults[idx].Recovery = now - st.faults[idx].Event.At
-			delete(st.pendingRec, node)
-		}
-		st.mu.Unlock()
-	}
+	// Rejoin recovery runs from the join event to this first completed
+	// synchronized step.
+	st.ledger.Recover(now)
 	if !st.elastic {
 		return
 	}
@@ -583,19 +477,14 @@ func (st *ctrl) onBoundary(uint64) {
 			if active[ev.Node] {
 				active[ev.Node] = false
 				changed = true
-				st.openFault(ev, now)
+				st.ledger.Open(ev, ev.Node)
 			}
 		case chaos.NodeJoin:
 			if !active[ev.Node] {
 				active[ev.Node] = true
 				changed = true
-				st.closeFault(chaos.NodeCrash, ev.Node, now)
-				st.mu.Lock()
-				st.faults = append(st.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
-				st.pendingRec[ev.Node] = len(st.faults) - 1
-				st.mu.Unlock()
-				st.tr.Instant(trace.Span{Stage: trace.StageFault, Node: int32(ev.Node),
-					Key: int64(ev.Kind)}, now)
+				st.ledger.Close(chaos.NodeCrash, ev.Node)
+				st.ledger.Mark(ev, ev.Node, ev.At)
 			}
 		}
 	}
@@ -706,7 +595,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	for i := range baseBW {
 		baseBW[i] = cfg.LinkBandwidth
 	}
-	for _, d := range cfg.degradedFaults() {
+	for _, d := range cfg.Degraded {
 		if d.Factor > 1 && d.Node >= 0 && d.Node < n {
 			baseBW[d.Node] /= d.Factor
 			fab.SetBandwidth(d.Node, baseBW[d.Node])
@@ -757,8 +646,13 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		shardW := w.WithDataset(dataset.Shard(w.Dataset, perm[i], n))
 		env := &loader.Env{RT: k, CPU: tb.CPU, GPUs: tb.GPUs, Store: store, WG: wg,
 			Pool: data.NewPool(), Trace: cfg.Trace, TraceNode: int32(i)}
-		nodes[i] = &nodeState{tb: tb, env: env}
 		sp := shardW.Spec()
+		// Step spans carry Seq=round: the consumer-local round counter ties
+		// a round's anatomy together for the critical-path analyzer, proxy
+		// rounds included.
+		nodes[i] = &nodeState{tb: tb, env: env, step: &trainer.Step{RT: k, W: w, GPUs: tb.GPUs,
+			PerEpoch: sp.BatchesPerEpoch() / len(tb.GPUs),
+			Trace:    cfg.Trace, Node: int32(i), SeqByRound: true}}
 		if t := int64(sp.TotalBatches() / len(tb.GPUs)); t < target {
 			target = t
 		}
@@ -780,19 +674,12 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	}
 
 	st := &ctrl{
-		k: k, cfg: cfg, w: w, f: f, fab: fab, wg: wg, tr: cfg.Trace,
+		k: k, cfg: cfg, w: w, f: f, fab: fab, wg: wg,
 		nodes: nodes, baseBW: baseBW, seed: spec.Seed, elastic: elastic,
 		pending: memberEvs, target: target,
 		hist: stats.NewLogHist(),
-		open: map[winKey]openWin{}, pendingRec: map[int]int{},
 	}
-	if cfg.RemoteStore {
-		st.disks = []*storage.Disk{serverDisk}
-	} else {
-		for _, nd := range nodes {
-			st.disks = append(st.disks, nd.tb.Disk)
-		}
-	}
+	st.ledger = chaos.NewLedger(k, cfg.Trace, 0, func(chaos.Kind) time.Duration { return st.totalStall() })
 	st.view.Store(&memberView{
 		active:  initActive,
 		loaders: initLoaders,
@@ -822,110 +709,73 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 			return err
 		}
 	}
-	// Disk degradation is pre-installed as a timeline (see
-	// storage.ScheduleSlowdown): a read racing the scripted instant
-	// resolves by its own start time, not by same-instant scheduling
-	// order. The engine replay keeps the fault-window bookkeeping.
-	for _, ev := range contEvs {
-		switch ev.Kind {
-		case chaos.DiskDegrade:
-			for _, d := range st.disks {
-				d.ScheduleSlowdown(ev.At, ev.Factor)
-			}
-		case chaos.DiskRestore:
-			for _, d := range st.disks {
-				d.ScheduleSlowdown(ev.At, 1)
-			}
+	// Disk brownouts hit the storage server on a remote-store cluster,
+	// every node's own disk otherwise.
+	if cfg.RemoteStore {
+		chaos.ScheduleDiskSlowdowns(contEvs, serverDisk)
+	} else {
+		for _, nd := range nodes {
+			chaos.ScheduleDiskSlowdowns(contEvs, nd.tb.Disk)
 		}
 	}
 	eng := chaos.StartEngine(k, wg, contEvs, st.applyContinuous)
 
 	start := k.Now()
 	st.lastBoundary = start
-	var lastEnd atomic.Int64
 	consumers := simtime.NewWaitGroup(k)
 	for rank, nd := range nodes {
-		rank, nd := rank, nd
-		for g := range nd.tb.GPUs {
-			g := g
-			consumers.Go("dist-consumer", func() {
-				dev := nd.tb.GPUs[g]
-				tr := cfg.Trace
-				// Step spans share (Node=rank, Key=GPU, Seq=round): the
-				// consumer-local round counter ties a round's anatomy
-				// together for the critical-path analyzer, proxy rounds
-				// included.
-				var round int64
-				for {
+		nd.step.Source = func() (loader.Loader, bool) {
+			v := st.view.Load()
+			if v.done {
+				return nil, true
+			}
+			return v.loaders[rank], false
+		}
+		// Synchronized region: barrier, collective, resume. Crashed ranks
+		// pass through as proxies, reducing nothing; their parked time is
+		// downtime.
+		nd.step.Sync = func(ctx context.Context, g int, round int64, trained bool) error {
+			span := trace.Span{Node: int32(rank), Key: int64(g), Seq: round}
+			t1 := k.Now()
+			if _, err := arrive.Wait(ctx); err != nil {
+				return err
+			}
+			t2 := k.Now()
+			if trained {
+				nd.barrierStall.Add(int64(t2 - t1))
+				span.Stage, span.Start, span.End = trace.StageBarrierWait, t1, t2
+				cfg.Trace.Record(span)
+				if g == 0 {
+					// The view cannot change before this round's resume
+					// release, which waits for this consumer.
 					v := st.view.Load()
-					if v.done {
-						return
+					if err := v.ring.AllReduce(ctx, v.ranks[rank], cfg.GradientBytes); err != nil {
+						return err
 					}
-					act := v.active[rank]
-					if act {
-						t0 := k.Now()
-						b, err := v.loaders[rank].Next(ctx, g)
-						if errors.Is(err, io.EOF) {
-							// This rank is out of data: release the others.
-							breakAll()
-							return
-						}
-						if err != nil {
-							st.consumeErr.Store(err)
-							breakAll()
-							return
-						}
-						tData := k.Now()
-						nd.dataStall.Add(int64(tData - t0))
-						tr.Record(trace.Span{Start: t0, End: tData, Stage: trace.StageDataWait,
-							Node: int32(rank), Key: int64(g), Seq: round})
-						if err := dev.Train(ctx, w.GPUStep); err != nil {
-							breakAll()
-							return
-						}
-						tr.Record(trace.Span{Start: tData, End: k.Now(), Stage: trace.StageGPUStep,
-							Node: int32(rank), Key: int64(g), Seq: round})
-						nd.samples.Add(int64(len(b.Samples)))
-						b.Release()
+				}
+			}
+			if _, err := resume.Wait(ctx); err != nil {
+				return err
+			}
+			now := k.Now()
+			if trained {
+				nd.networkStall.Add(int64(now - t2))
+				span.Stage, span.Start, span.End = trace.StageNetworkWait, t2, now
+			} else {
+				nd.downtime.Add(int64(now - t1))
+				span.Stage, span.Start, span.End = trace.StageDowntime, t1, now
+			}
+			cfg.Trace.Record(span)
+			return nil
+		}
+		for g := range nd.tb.GPUs {
+			consumers.Go("dist-consumer", func() {
+				if err := nd.step.Run(ctx, g); err != nil {
+					// This rank is out of data or failed: release the others.
+					if !errors.Is(err, io.EOF) && !errors.Is(err, simtime.ErrBarrierBroken) {
+						st.consumeErr.Store(err)
 					}
-
-					// Synchronized region: barrier, collective, resume.
-					// Crashed ranks pass through as proxies, training and
-					// reducing nothing.
-					t1 := k.Now()
-					if _, err := arrive.Wait(ctx); err != nil {
-						return // broken: another rank finished
-					}
-					t2 := k.Now()
-					if act {
-						nd.barrierStall.Add(int64(t2 - t1))
-						tr.Record(trace.Span{Start: t1, End: t2, Stage: trace.StageBarrierWait,
-							Node: int32(rank), Key: int64(g), Seq: round})
-						if g == 0 {
-							if err := v.ring.AllReduce(ctx, v.ranks[rank], cfg.GradientBytes); err != nil {
-								if !errors.Is(err, simtime.ErrBarrierBroken) {
-									st.consumeErr.Store(err)
-								}
-								breakAll()
-								return
-							}
-						}
-					}
-					if _, err := resume.Wait(ctx); err != nil {
-						return
-					}
-					now := k.Now()
-					if act {
-						nd.networkStall.Add(int64(now - t2))
-						tr.Record(trace.Span{Start: t2, End: now, Stage: trace.StageNetworkWait,
-							Node: int32(rank), Key: int64(g), Seq: round})
-					} else {
-						nd.downtime.Add(int64(now - t1))
-						tr.Record(trace.Span{Start: t1, End: now, Stage: trace.StageDowntime,
-							Node: int32(rank), Key: int64(g), Seq: round})
-					}
-					round++
-					storeMax(&lastEnd, int64(now))
+					breakAll()
 				}
 			})
 		}
@@ -946,7 +796,10 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		return e.(error)
 	}
 
-	end := time.Duration(lastEnd.Load())
+	var end time.Duration
+	for _, nd := range nodes {
+		end = max(end, nd.step.End())
+	}
 	if end < start {
 		end = k.Now()
 	}
@@ -955,7 +808,7 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 	rep.NetworkBytes = fab.BytesMoved()
 	rep.StepP50 = st.hist.QuantileDuration(0.5)
 	rep.StepP99 = st.hist.QuantileDuration(0.99)
-	rep.Faults = append(rep.Faults, st.faults...)
+	rep.Faults = st.ledger.Faults()
 	if cfg.Trace.Enabled() {
 		rep.spans = cfg.Trace.Snapshot()
 		// The critical-path analyzer is the source for the aggregate stall
@@ -981,13 +834,13 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		if dur > 0 {
 			util = min(100, 100*busy/(float64(len(nd.tb.GPUs))*dur))
 		}
-		rep.Samples += nd.samples.Load()
+		rep.Samples += nd.step.Samples.Load()
 		rep.PerNode = append(rep.PerNode, NodeStats{
 			Node:         i,
 			Hardware:     fmt.Sprintf("%s/%dc", nodeCfgs[i].Name, nodeCfgs[i].Cores),
 			GPUs:         len(nd.tb.GPUs),
-			Samples:      nd.samples.Load(),
-			DataStall:    time.Duration(nd.dataStall.Load()),
+			Samples:      nd.step.Samples.Load(),
+			DataStall:    time.Duration(nd.step.DataStall.Load()),
 			BarrierStall: time.Duration(nd.barrierStall.Load()),
 			NetworkStall: time.Duration(nd.networkStall.Load()),
 			Downtime:     time.Duration(nd.downtime.Load()),
@@ -1006,15 +859,6 @@ func run(k *simtime.Virtual, cfg Config, nodeCfgs []hardware.Config, w workload.
 		rep.AvgGPUUtil = min(100, 100*busyAll/(float64(gpuCount)*dur))
 	}
 	return nil
-}
-
-func storeMax(dst *atomic.Int64, v int64) {
-	for {
-		cur := dst.Load()
-		if v <= cur || dst.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // String summarizes the report.

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,6 +18,7 @@ import (
 
 	"github.com/minatoloader/minato/internal/chaos"
 	"github.com/minatoloader/minato/internal/data"
+	"github.com/minatoloader/minato/internal/device"
 	"github.com/minatoloader/minato/internal/hardware"
 	"github.com/minatoloader/minato/internal/loader"
 	"github.com/minatoloader/minato/internal/matcache"
@@ -39,18 +39,13 @@ type Factory struct {
 
 // Params tunes what a session records.
 type Params struct {
-	// Collect enables time-series sampling (CPU/GPU/disk/throughput).
+	// Collect enables time-series sampling (CPU/GPU/disk/throughput) every
+	// second of virtual time.
 	Collect bool
-	// MetricsInterval is the sampling period (default 1s of virtual time).
-	MetricsInterval time.Duration
-	// CopyBandwidth is the host-to-device PCIe bandwidth for loaders that
-	// do not prefetch to the GPU (default 16 GB/s).
-	CopyBandwidth float64
-	// TrackComposition enables Fig 11's per-batch slow-sample accounting.
+	// TrackComposition enables Fig 11's per-batch slow-sample accounting,
+	// classifying samples above the 75th preprocessing-cost percentile as
+	// slow (MinatoLoader's profiler threshold).
 	TrackComposition bool
-	// SlowThresholdPercentile classifies samples for composition analysis
-	// (default 0.75, matching MinatoLoader's profiler).
-	SlowThresholdPercentile float64
 	// AccuracyEvery records an accuracy point every N global iterations
 	// (default 50).
 	AccuracyEvery int
@@ -70,21 +65,6 @@ type Params struct {
 	// validate it for a single-machine run (Script.Validate(0)) before
 	// starting; the zero value injects nothing.
 	Chaos chaos.Script
-}
-
-func (p *Params) fillDefaults() {
-	if p.MetricsInterval <= 0 {
-		p.MetricsInterval = time.Second
-	}
-	if p.CopyBandwidth <= 0 {
-		p.CopyBandwidth = 16e9
-	}
-	if p.SlowThresholdPercentile <= 0 {
-		p.SlowThresholdPercentile = 0.75
-	}
-	if p.AccuracyEvery <= 0 {
-		p.AccuracyEvery = 50
-	}
 }
 
 // AccPoint is one accuracy-curve sample (Fig 11a).
@@ -188,10 +168,6 @@ func (r *Report) CriticalPath() []trace.BatchPath {
 	return trace.CriticalPath(r.Trace())
 }
 
-// SetTrace installs a recorded span set (callers outside the trainer
-// assemble reports too, e.g. loading sessions).
-func (r *Report) SetTrace(spans []trace.Span) { r.spans = spans }
-
 // WriteTraceCSV exports the sample trace for offline analysis.
 func (r *Report) WriteTraceCSV(dir, name string) error {
 	header := []string{"index", "epoch", "raw_bytes", "loaded_s", "preproc_start_s",
@@ -272,8 +248,11 @@ func Run(rt simtime.Runtime, tb *hardware.Testbed, w workload.Workload, f Factor
 // so co-running sessions see their own hits, not the cluster total. Like
 // Run, it must be called from a task tracked by the runtime.
 func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w workload.Workload, f Factory, p Params) (*Report, error) {
-	p.fillDefaults()
 	ctx := context.Background()
+	accEvery := int64(p.AccuracyEvery)
+	if accEvery <= 0 {
+		accEvery = 50
+	}
 
 	rt := env.RT
 	wg := env.WG
@@ -305,8 +284,10 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 		GPUs:     len(env.GPUs),
 	}
 
-	var trainedBytes atomic.Int64
-	collector := metrics.NewCollector(rt, p.MetricsInterval)
+	step := &Step{RT: rt, W: w, GPUs: env.GPUs, PerEpoch: spec.BatchesPerEpoch() / len(env.GPUs),
+		Source: func() (loader.Loader, bool) { return ld, false },
+		Trace:  env.Trace, Tenant: env.TraceTenant(), Node: env.TraceNode}
+	collector := metrics.NewCollector(rt, time.Second)
 	if p.Collect {
 		cpuGauge := env.CPU.UtilizationGauge()
 		collector.Register("cpu", func() float64 { return 100 * cpuGauge() })
@@ -325,7 +306,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 			collector.Register("disk", disk.ReadRateGauge(rt))
 		}
 		collector.Register("throughput", metrics.CounterRateGauge(rt, func() float64 {
-			return float64(trainedBytes.Load())
+			return float64(step.Bytes.Load())
 		}))
 		if ins, ok := ld.(loader.Instrumented); ok {
 			ins.RegisterMetrics(collector)
@@ -335,7 +316,7 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 
 	var comp *composition
 	if p.TrackComposition {
-		comp = newComposition(w, p.SlowThresholdPercentile, spec.BatchSize)
+		comp = newComposition(w, 0.75, spec.BatchSize)
 		rep.SlowThreshold = comp.threshold
 	}
 
@@ -351,103 +332,37 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 	}
 
 	cst := StartChaos(rt, env, disk, wg, p.Chaos, len(env.GPUs))
+	var traceMu sync.Mutex
+	step.Chaos = cst
+	step.OnBatch = func(g int, it int64, b *data.Batch, end time.Duration) {
+		cst.NoteStep(g, end)
+		if comp != nil {
+			comp.record(b)
+		}
+		if it%accEvery == 0 {
+			comp.maybeAcc(rep, w, it, end-start)
+		}
+		if p.TraceSamples {
+			traceMu.Lock()
+			for _, s := range b.Samples {
+				rep.SampleTraces = append(rep.SampleTraces, SampleTrace{
+					Index: s.Index, Epoch: s.Epoch, RawBytes: s.RawBytes,
+					LoadedAt: s.LoadedAt, PreprocStart: s.PreprocStart,
+					PreprocEnd: s.PreprocEnd, PreprocCost: s.PreprocCost,
+					MarkedSlow: s.MarkedSlow, TimesResumed: s.TimesResumed,
+					BatchSeq: b.Seq, TrainedAt: end, GPU: g,
+				})
+			}
+			traceMu.Unlock()
+		}
+	}
 
-	// Per-GPU consumers.
 	consumers := simtime.NewWaitGroup(rt)
 	var consumerErr atomic.Value
-	var globalIters atomic.Int64
-	var lastEnd atomic.Int64
-	var dataStall atomic.Int64
-	var traceMu sync.Mutex
-	tr, tenant, node := env.Trace, env.TraceTenant(), env.TraceNode
-	perGPUEpoch := spec.BatchesPerEpoch() / len(env.GPUs)
 	for g := range env.GPUs {
-		g := g
 		consumers.Go("gpu-consumer", func() {
-			dev := env.GPUs[g]
-			sinceValidation := 0
-			for {
-				// Preemption gate: park here while the session is paused;
-				// a terminal preemption ends the stream with ErrPreempted.
-				if err := cst.Gate(ctx); err != nil {
-					consumerErr.Store(err)
-					return
-				}
-				waitStart := rt.Now()
-				b, err := ld.Next(ctx, g)
-				if errors.Is(err, io.EOF) {
-					return
-				}
-				if err != nil {
-					consumerErr.Store(err)
-					return
-				}
-				waitEnd := rt.Now()
-				dataStall.Add(int64(waitEnd - waitStart))
-				tr.Record(trace.Span{Start: waitStart, End: waitEnd, Stage: trace.StageDataWait,
-					Tenant: tenant, Node: node, Key: int64(g), Seq: b.Seq})
-				stepStart := waitEnd
-				if !b.Resident {
-					// Synchronous H2D copy (no prefetch overlap).
-					copyTime := time.Duration(float64(b.Bytes()) / p.CopyBandwidth * float64(time.Second))
-					if err := rt.Sleep(ctx, copyTime); err != nil {
-						return
-					}
-					copyEnd := rt.Now()
-					tr.Record(trace.Span{Start: stepStart, End: copyEnd, Stage: trace.StageCopy,
-						Tenant: tenant, Node: node, Key: int64(g), Seq: b.Seq, Detail: b.Bytes()})
-					stepStart = copyEnd
-				}
-				if err := dev.Train(ctx, w.GPUStep); err != nil {
-					return
-				}
-				it := globalIters.Add(1)
-				atomic.AddInt64(&rep.Batches, 1)
-				atomic.AddInt64(&rep.Samples, int64(len(b.Samples)))
-				trainedBytes.Add(b.Bytes())
-				stepEnd := rt.Now()
-				tr.Record(trace.Span{Start: stepStart, End: stepEnd, Stage: trace.StageGPUStep,
-					Tenant: tenant, Node: node, Key: int64(g), Seq: b.Seq})
-				storeMax(&lastEnd, int64(stepEnd))
-				cst.NoteStep(g, stepEnd)
-
-				if comp != nil {
-					comp.record(b)
-				}
-				if it%int64(p.AccuracyEvery) == 0 {
-					comp.maybeAcc(rep, w, it, rt.Now()-start)
-				}
-				if p.TraceSamples {
-					now := rt.Now()
-					traceMu.Lock()
-					for _, s := range b.Samples {
-						rep.SampleTraces = append(rep.SampleTraces, SampleTrace{
-							Index: s.Index, Epoch: s.Epoch, RawBytes: s.RawBytes,
-							LoadedAt: s.LoadedAt, PreprocStart: s.PreprocStart,
-							PreprocEnd: s.PreprocEnd, PreprocCost: s.PreprocCost,
-							MarkedSlow: s.MarkedSlow, TimesResumed: s.TimesResumed,
-							BatchSeq: b.Seq, TrainedAt: now, GPU: g,
-						})
-					}
-					traceMu.Unlock()
-				}
-
-				// The consumer owns the batch from Next to here; everything
-				// recorded above copies values out, so the samples can go
-				// back to the pool for upcoming draws.
-				b.Release()
-
-				// Epoch-end validation (img-seg): extra GPU work while
-				// loading pauses — the periodic dips of Fig 10.
-				if w.ValidationTime > 0 && perGPUEpoch > 0 {
-					sinceValidation++
-					if sinceValidation >= perGPUEpoch {
-						sinceValidation = 0
-						if err := dev.Train(ctx, w.ValidationTime); err != nil {
-							return
-						}
-					}
-				}
+			if err := step.Run(ctx, g); err != nil && !errors.Is(err, io.EOF) {
+				consumerErr.Store(err)
 			}
 		})
 	}
@@ -455,12 +370,14 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 	if err := consumers.Wait(ctx); err != nil {
 		return nil, err
 	}
-	end := time.Duration(lastEnd.Load())
+	end := step.End()
 	if end < start {
 		end = rt.Now()
 	}
 	rep.TrainTime = end - start
-	rep.TrainedBytes = trainedBytes.Load()
+	rep.Batches = step.Batches.Load()
+	rep.Samples = step.Samples.Load()
+	rep.TrainedBytes = step.Bytes.Load()
 
 	cst.Stop()
 	collector.Stop()
@@ -473,8 +390,8 @@ func RunEnv(env *loader.Env, disk *storage.Disk, cache *storage.PageCache, w wor
 	// StageDataWait spans are stamped from the identical instants, so the
 	// critical-path analyzer reproduces this value to the nanosecond. The
 	// report keeps the recorder and snapshots lazily (Trace).
-	rep.DataStall = time.Duration(dataStall.Load())
-	rep.rec = tr
+	rep.DataStall = time.Duration(step.DataStall.Load())
+	rep.rec = env.Trace
 	if e := consumerErr.Load(); e != nil {
 		return nil, e.(error)
 	}
@@ -548,30 +465,29 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 }
 
 // ChaosState replays a single-machine fault script against a running
-// session and keeps the fault-window bookkeeping for the report. A zero
-// script costs one allocation and leaves the consumer fast path with a
-// nil-pauser check and a histogram insert per batch. The trainer drives it
-// internally; loading sessions (minato.Session.Batches) drive it from the
-// facade through StartChaos/Gate/NoteStep/Stop/Finish.
+// session and keeps its SLO bookkeeping: the preemption gate, the
+// step-interval histogram, and the fault ledger. A zero script leaves the
+// consumer fast path with a nil-pauser check and a histogram insert per
+// batch. The trainer drives it through Step; loading sessions
+// (minato.Session.Batches) drive it from the facade through
+// StartChaos/Gate/NoteStep/Stop/Finish.
 type ChaosState struct {
-	rt   simtime.Runtime
-	env  *loader.Env
-	disk *storage.Disk
-	wg   *simtime.WaitGroup
+	rt     simtime.Runtime
+	cpu    *device.Device
+	wg     *simtime.WaitGroup
+	node   int // the session's trace node: every fault window's key
+	ledger *chaos.Ledger
 
 	pauser *chaos.Pauser
 	eng    *chaos.Engine
 
 	preemptStall atomic.Int64
 
-	mu         sync.Mutex
-	hist       *stats.LogHist
-	lastStep   []time.Duration
-	faults     []chaos.FaultStat
-	open       map[chaos.Kind]int
-	recPending int    // fault index awaiting the first post-resume batch
-	terminal   []bool // per-Preempt: no Resume scheduled after it
-	termIdx    int
+	mu       sync.Mutex
+	hist     *stats.LogHist
+	lastStep []time.Duration
+	terminal []bool // per-Preempt: no Resume scheduled after it
+	termIdx  int
 }
 
 // StartChaos launches the event replay task (none for an empty script).
@@ -580,10 +496,18 @@ type ChaosState struct {
 // tracking.
 func StartChaos(rt simtime.Runtime, env *loader.Env, disk *storage.Disk, wg *simtime.WaitGroup, script chaos.Script, gpus int) *ChaosState {
 	c := &ChaosState{
-		rt: rt, env: env, disk: disk, wg: wg,
+		rt: rt, cpu: env.CPU, wg: wg, node: int(env.TraceNode),
 		hist: stats.NewLogHist(), lastStep: make([]time.Duration, gpus),
-		open: map[chaos.Kind]int{}, recPending: -1,
 	}
+	// A preemption's stall is its own window — every consumer is parked
+	// for its full extent — so its counter is the clock; the other kinds
+	// attribute none.
+	c.ledger = chaos.NewLedger(rt, env.Trace, env.TraceTenant(), func(k chaos.Kind) time.Duration {
+		if k == chaos.Preempt {
+			return rt.Now()
+		}
+		return 0
+	})
 	now := rt.Now()
 	for i := range c.lastStep {
 		c.lastStep[i] = now
@@ -605,21 +529,7 @@ func StartChaos(rt simtime.Runtime, env *loader.Env, disk *storage.Disk, wg *sim
 		}
 		c.terminal = append(c.terminal, term)
 	}
-	// Disk degradation is pre-installed as a timeline rather than applied
-	// live from the engine task: a read racing the scripted instant then
-	// sees the factor as a pure function of its own start time, not of
-	// same-instant scheduling order. The engine still replays the events
-	// for the fault-window bookkeeping.
-	if c.disk != nil {
-		for _, ev := range evs {
-			switch ev.Kind {
-			case chaos.DiskDegrade:
-				c.disk.ScheduleSlowdown(ev.At, ev.Factor)
-			case chaos.DiskRestore:
-				c.disk.ScheduleSlowdown(ev.At, 1)
-			}
-		}
-	}
+	chaos.ScheduleDiskSlowdowns(evs, disk)
 	c.pauser = chaos.NewPauser(rt)
 	c.eng = chaos.StartEngine(rt, wg, evs, c.apply)
 	return c
@@ -627,30 +537,15 @@ func StartChaos(rt simtime.Runtime, env *loader.Env, disk *storage.Disk, wg *sim
 
 // apply runs in the engine's task at each event's scripted time.
 func (c *ChaosState) apply(ev chaos.Event) {
-	now := c.rt.Now()
 	switch ev.Kind {
 	case chaos.DiskDegrade:
 		// The slowdown itself was scheduled at StartChaos; only the fault
 		// window is recorded here.
-		c.openFault(ev, now)
+		c.ledger.Open(ev, c.node)
 	case chaos.DiskRestore:
-		c.closeFault(chaos.DiskDegrade, now)
+		c.ledger.Close(chaos.DiskDegrade, c.node)
 	case chaos.WorkerStall:
-		c.openFault(ev, now)
-		n := int(math.Ceil(ev.Factor * c.env.CPU.Capacity()))
-		if n < 1 {
-			n = 1
-		}
-		hogs := simtime.NewWaitGroup(c.rt)
-		for i := 0; i < n; i++ {
-			hogs.Go("chaos-hog", func() {
-				_ = c.env.CPU.Run(context.Background(), ev.Duration)
-			})
-		}
-		c.wg.Go("chaos-hog-closer", func() {
-			_ = hogs.Wait(context.Background())
-			c.closeFault(chaos.WorkerStall, c.rt.Now())
-		})
+		c.ledger.StallWorkers(c.wg, c.cpu, ev, c.node)
 	case chaos.Preempt:
 		term := false
 		c.mu.Lock()
@@ -659,66 +554,23 @@ func (c *ChaosState) apply(ev chaos.Event) {
 			c.termIdx++
 		}
 		c.mu.Unlock()
-		c.openFault(ev, now)
+		c.ledger.Open(ev, c.node)
 		c.pauser.Pause(term)
 	case chaos.Resume:
 		c.pauser.Resume()
-		c.closeFault(chaos.Preempt, now)
-		c.mu.Lock()
-		c.faults = append(c.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
-		c.recPending = len(c.faults) - 1
-		c.mu.Unlock()
-		c.traceFault(trace.StageFault, now, now, ev.Kind)
+		c.ledger.Close(chaos.Preempt, c.node)
+		c.ledger.Mark(ev, c.node, c.rt.Now())
 	}
 }
 
-func (c *ChaosState) openFault(ev chaos.Event, now time.Duration) {
-	c.mu.Lock()
-	c.faults = append(c.faults, chaos.FaultStat{Event: ev, AppliedAt: now})
-	c.open[ev.Kind] = len(c.faults) - 1
-	c.mu.Unlock()
-	c.traceFault(trace.StageFault, now, now, ev.Kind)
-}
-
-func (c *ChaosState) closeFault(kind chaos.Kind, now time.Duration) {
-	var applied time.Duration
-	closed := false
-	c.mu.Lock()
-	if i, ok := c.open[kind]; ok {
-		c.faults[i].ClearedAt = now
-		applied = c.faults[i].AppliedAt
-		closed = true
-		if kind == chaos.Preempt {
-			// The pause window itself is the stall: every consumer is
-			// parked for its full extent.
-			c.faults[i].StallDuring = now - c.faults[i].AppliedAt
-		}
-		delete(c.open, kind)
-	}
-	c.mu.Unlock()
-	if closed {
-		c.traceFault(trace.StageFaultWindow, applied, now, kind)
-	}
-}
-
-// traceFault records a fault span (instant when start == end) on the
-// session's recorder; a no-op without tracing.
-func (c *ChaosState) traceFault(st trace.Stage, start, end time.Duration, kind chaos.Kind) {
-	c.env.Trace.Record(trace.Span{Start: start, End: end, Stage: st,
-		Tenant: c.env.TraceTenant(), Node: c.env.TraceNode, Key: int64(kind)})
-}
-
-// noteStep records a consumer's batch-completion interval and resolves a
+// NoteStep records a consumer's batch-completion interval and resolves a
 // pending post-resume recovery measurement.
 func (c *ChaosState) NoteStep(g int, now time.Duration) {
 	c.mu.Lock()
 	c.hist.AddDuration(now - c.lastStep[g])
 	c.lastStep[g] = now
-	if c.recPending >= 0 {
-		c.faults[c.recPending].Recovery = now - c.faults[c.recPending].AppliedAt
-		c.recPending = -1
-	}
 	c.mu.Unlock()
+	c.ledger.Recover(now)
 }
 
 // Stop halts the replay; pending events are discarded. Call before
@@ -729,8 +581,11 @@ func (c *ChaosState) Stop() { c.eng.Stop() }
 // Gate parks the calling consumer while the session is preempted,
 // accumulating the preemption stall; a terminal preemption (no resume
 // scheduled) returns ErrPreempted. Consumers call it at every batch
-// boundary.
+// boundary. Safe on a nil state, which never pauses.
 func (c *ChaosState) Gate(ctx context.Context) error {
+	if c == nil {
+		return nil
+	}
 	st, err := c.pauser.Wait(ctx)
 	if st > 0 {
 		c.preemptStall.Add(int64(st))
@@ -745,9 +600,7 @@ func (c *ChaosState) Finish(rep *Report) {
 	rep.StepP99 = c.hist.QuantileDuration(0.99)
 	rep.StepHist = c.hist
 	rep.PreemptStall = time.Duration(c.preemptStall.Load())
-	c.mu.Lock()
-	rep.Faults = append([]chaos.FaultStat(nil), c.faults...)
-	c.mu.Unlock()
+	rep.Faults = c.ledger.Faults()
 }
 
 // composition tracks Fig 11's batch statistics.
@@ -789,13 +642,4 @@ func (c *composition) maybeAcc(rep *Report, w workload.Workload, iter int64, ela
 	c.mu.Lock()
 	rep.AccCurve = append(rep.AccCurve, AccPoint{Iter: iter, Elapsed: elapsed, Accuracy: w.Accuracy(iter)})
 	c.mu.Unlock()
-}
-
-func storeMax(dst *atomic.Int64, v int64) {
-	for {
-		cur := dst.Load()
-		if v <= cur || dst.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }

@@ -343,13 +343,7 @@ func Serve(cl *Cluster, opts ...ServeOption) (*ServerAddr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, ev := range disk {
-		f := ev.Factor
-		if ev.Kind == ChaosDiskRestore {
-			f = 1
-		}
-		cl.disk.ScheduleSlowdown(ev.At, f)
-	}
+	chaos.ScheduleDiskSlowdowns(disk, cl.disk)
 	if o.trace != nil {
 		sn.net.EnableTrace(o.trace)
 	}
