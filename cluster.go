@@ -420,13 +420,9 @@ func (c *Cluster) train(w Workload, o *sessionOptions) (*Report, error) {
 	}
 	env := c.sessionEnv(gpuIdxs, cacheTenant, share)
 	var rep *Report
-	if v, ok := c.rt.(*simtime.Virtual); ok {
-		v.Run(func() {
-			rep, err = trainer.RunEnv(env, c.disk, c.cache, w, f, o.params)
-		})
-	} else {
+	simtime.Run(c.rt, func() {
 		rep, err = trainer.RunEnv(env, c.disk, c.cache, w, f, o.params)
-	}
+	})
 	return rep, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -605,6 +606,45 @@ func TestClusterDeterministicReports(t *testing.T) {
 			a.CacheStats.Hits != b.CacheStats.Hits ||
 			a.CacheStats.Misses != b.CacheStats.Misses {
 			t.Fatalf("tenant %d diverged:\n%+v\nvs\n%+v", i, a, b)
+		}
+	}
+}
+
+// TestStreamAllLocalSessionsBitIdentical: fanned out with StreamAll, the
+// sessions of one cluster interleave in an order fixed by the program, so
+// whole reports — delivery times included — repeat bit for bit.
+func TestStreamAllLocalSessionsBitIdentical(t *testing.T) {
+	run := func() []*Report {
+		cl, err := NewCluster(WithEnv(EnvConfig{Cores: 8, GPUs: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		sessions := make([]*Session, 4)
+		for i := range sessions {
+			sessions[i] = openTenant(t, cl, fmt.Sprintf("det-%d", i), 256,
+				WithSeed(uint64(i+1)), WithIterations(10))
+		}
+		out := make([]*Report, len(sessions))
+		StreamAll(context.Background(), sessions, func(i int, sess *Session) {
+			for _, err := range sess.Batches(context.Background()) {
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			rep, err := sess.Close()
+			if err != nil {
+				t.Error(err)
+			}
+			out[i] = rep
+		})
+		return out
+	}
+	first := run()
+	for r := 1; r < 3; r++ {
+		if again := run(); !reflect.DeepEqual(first, again) {
+			t.Fatalf("run %d diverged:\n%+v\nvs\n%+v", r, first, again)
 		}
 	}
 }

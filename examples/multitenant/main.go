@@ -8,7 +8,9 @@
 // control caps concurrency; the demo opens one session more than the cap
 // to show ErrClusterSaturated.
 //
-// The whole run is deterministic: virtual time, fixed seeds. To prove it,
+// The whole run is deterministic: virtual time, fixed seeds, and one
+// minato.StreamAll fan-out that runs every tenant's consumer on the
+// cluster's kernel in a fixed order. To prove it,
 // the schedule runs twice on two fresh clusters and the per-tenant reports
 // are required to be bit-identical — batches, samples, bytes, delivery
 // time, and cache attribution.
@@ -23,7 +25,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sync"
 	"time"
 
 	"github.com/minatoloader/minato"
@@ -110,35 +111,34 @@ func runSchedule() ([tenants]tenantReport, error) {
 		return out, fmt.Errorf("expected ErrClusterSaturated, got %v", err)
 	}
 
-	var wg sync.WaitGroup
+	// StreamAll runs every tenant's consumer as a task of the cluster's one
+	// kernel, spawned in tenant order, so the interleaving (and with it
+	// every report) is the same on every run. Consumers started from
+	// separate goroutines would join the kernel in wall-clock order.
 	errs := make(chan error, tenants)
 	for t, sess := range sessions {
-		t, sess := t, sess
 		out[t].quota = sess.Stats().WorkerQuota
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, err := range sess.Batches(context.Background()) {
-				if err != nil {
-					errs <- fmt.Errorf("tenant %d: %w", t, err)
-					return
-				}
-			}
-			rep, err := sess.Close()
+	}
+	minato.StreamAll(context.Background(), sessions, func(t int, sess *minato.Session) {
+		for _, err := range sess.Batches(context.Background()) {
 			if err != nil {
-				errs <- fmt.Errorf("tenant %d close: %w", t, err)
+				errs <- fmt.Errorf("tenant %d: %w", t, err)
 				return
 			}
-			out[t] = tenantReport{
-				workload: rep.Workload, loader: rep.Loader,
-				batches: rep.Batches, samples: rep.Samples, bytes: rep.TrainedBytes,
-				trainTime: rep.TrainTime,
-				hits:      rep.CacheStats.Hits, misses: rep.CacheStats.Misses,
-				quota: out[t].quota,
-			}
-		}()
-	}
-	wg.Wait()
+		}
+		rep, err := sess.Close()
+		if err != nil {
+			errs <- fmt.Errorf("tenant %d close: %w", t, err)
+			return
+		}
+		out[t] = tenantReport{
+			workload: rep.Workload, loader: rep.Loader,
+			batches: rep.Batches, samples: rep.Samples, bytes: rep.TrainedBytes,
+			trainTime: rep.TrainTime,
+			hits:      rep.CacheStats.Hits, misses: rep.CacheStats.Misses,
+			quota: out[t].quota,
+		}
+	})
 	close(errs)
 	for err := range errs {
 		return out, err

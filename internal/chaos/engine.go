@@ -28,7 +28,7 @@ func StartEngine(rt simtime.Runtime, wg *simtime.WaitGroup, events []Event, appl
 	if len(events) == 0 {
 		return nil
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := simtime.WithCancel(rt, context.Background())
 	e := &Engine{cancel: cancel}
 	wg.Go("chaos-engine", func() {
 		for _, ev := range events {

@@ -213,11 +213,10 @@ type Loader struct {
 	heartbeats atomic.Int64
 
 	batchSeq atomic.Int64
-	// claims assigns batch slots to constructors so the delivery budget is
-	// met exactly: without it, two constructors could strand the final
-	// samples across two partial batches.
-	claims  atomic.Int64
-	ordered *orderedBuffer // OrderPreserving mode only
+	// assembled counts the full batches the constructors have built; see
+	// batchConstructor for how the delivery budget is split among them.
+	assembled atomic.Int64
+	ordered   *orderedBuffer // OrderPreserving mode only
 
 	stopOnce sync.Once
 	stopFlag atomic.Bool
@@ -289,7 +288,7 @@ func (l *Loader) maxWorkersNow() int {
 
 // Start implements loader.Loader.
 func (l *Loader) Start(ctx context.Context) error {
-	ctx, l.cancel = context.WithCancel(ctx)
+	ctx, l.cancel = simtime.WithCancel(l.env.RT, ctx)
 	l.idx.Start(ctx)
 
 	initial := l.cfg.InitialWorkersPerGPU * len(l.env.GPUs)
@@ -570,15 +569,20 @@ func (l *Loader) putFast(ctx context.Context, s *data.Sample) error {
 
 // batchConstructor assembles batches for GPU g: fast queue first, slow
 // queue second, blocking on the wait fabric when neither has samples
-// (Algorithm 1 lines 19–30). Each full batch occupies a claimed slot of the
-// delivery budget, so the tail of the sample stream lands in exactly one
-// constructor; a slot whose batch cannot be assembled (shutdown or an
-// abnormal deficit) is released so the claim counter stays an exact account
-// of assembled batches.
+// (Algorithm 1 lines 19–30). The delivery budget is split into fixed
+// per-GPU shares — constructor g builds total/n batches, plus one when
+// g < total%n — so every GPU gets its share whatever order the
+// constructors run in. The shares sum to the budget, so together the
+// constructors draw exactly the samples it emits and never strand the tail
+// across two partial batches.
 func (l *Loader) batchConstructor(ctx context.Context, g int) {
 	out := l.batchQs[g]
 	defer out.Close()
-	total := int64(l.spec.TotalBatches())
+	total, n := l.spec.TotalBatches(), len(l.batchQs)
+	share := total / n
+	if g < total%n {
+		share++
+	}
 	sel := simtime.NewSelector(l.env.RT)
 	// Wake sources for an idle constructor, in priority order. The gate
 	// carries accounting-only changes (faults, source exhaustion) that could
@@ -589,19 +593,15 @@ func (l *Loader) batchConstructor(ctx context.Context, g int) {
 	} else {
 		sources = []simtime.Source{l.fastQ, l.slowQ, l.gate}
 	}
-	for {
+	for built := 0; built < share; built++ {
 		if l.stopFlag.Load() {
-			return
-		}
-		if l.claims.Add(1) > total {
-			l.claims.Add(-1)
 			return
 		}
 		b, ok := l.assemble(ctx, g, sel, sources)
 		if !ok {
-			l.claims.Add(-1)
 			return
 		}
+		l.assembled.Add(1)
 		if err := out.Put(ctx, b); err != nil {
 			b.Release()
 			return

@@ -543,11 +543,10 @@ func TestWorkerSurvivesFailingSample(t *testing.T) {
 		if l.Faults() == 0 {
 			t.Fatal("per-sample errors not recorded as faults")
 		}
-		// The claim for any unassemblable tail batch must have been
-		// released: the claim counter is an exact account of assembled
-		// batches (regression for the leaked-claim bug).
-		if got := l.claims.Load(); got != int64(delivered) {
-			t.Fatalf("claims = %d, want %d (delivered batches)", got, delivered)
+		// An unassemblable tail batch must not be counted: the assembled
+		// counter is an exact account of delivered batches.
+		if got := l.assembled.Load(); got != int64(delivered) {
+			t.Fatalf("assembled = %d, want %d (delivered batches)", got, delivered)
 		}
 		l.Stop()
 		if err := h.env.WG.Wait(context.Background()); err != nil {

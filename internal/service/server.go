@@ -478,7 +478,9 @@ func (s *Server) Close() error {
 		st.grants.Close()
 	}
 	s.inbox.Close()
-	return s.wg.Wait(context.Background())
+	var err error
+	simtime.Run(s.rt, func() { err = s.wg.Wait(context.Background()) })
+	return err
 }
 
 // Stats is a snapshot of the server's front end.

@@ -47,12 +47,19 @@ type Selector struct {
 	k     *Virtual // nil on nondeterministic runtimes
 	scale float64  // wall-clock compression for deadline waits when k == nil
 
-	ch chan int
-	// state transitions are guarded by k.mu under Virtual (so wake credit
-	// accounting is atomic with the claim) and by CAS alone under Real.
-	state  atomic.Int32
-	parked bool   // guarded by k.mu
-	t      *timer // armed deadline; guarded by k.mu
+	// Under Virtual, claims (TryWake, deadline, cancellation) and Wait
+	// change state under k.mu, so a claim is atomic with readying the
+	// owner; Reset, run by the owner between cycles, is a plain store.
+	// Under Real every transition is a CAS.
+	state atomic.Int32
+
+	// Virtual only, guarded by k.mu: the delivered index, the parked owner
+	// task, and the armed deadline.
+	idx   int
+	owner *task
+	t     *timer
+
+	ch chan int // Real only: carries the delivered index
 }
 
 const (
@@ -64,11 +71,13 @@ const (
 
 // NewSelector returns a selector bound to rt.
 func NewSelector(rt Runtime) *Selector {
-	s := &Selector{ch: make(chan int, 1), scale: 1}
-	switch r := rt.(type) {
-	case *Virtual:
-		s.k = r
-	case *Real:
+	s := &Selector{scale: 1}
+	if v, ok := rt.(*Virtual); ok {
+		s.k = v
+		return s
+	}
+	s.ch = make(chan int, 1)
+	if r, ok := rt.(*Real); ok {
 		s.scale = r.scale
 	}
 	return s
@@ -92,20 +101,24 @@ func Deterministic(rt Runtime) bool {
 // lock (as Device does) must Reset under that lock so wakes are serialized
 // against the cycle boundary.
 //
-// The drain must happen BEFORE the state store. Gate.Pulse delivers TryWake
-// outside its lock from a snapshot taken after the subscription was
-// deregistered, so a delayed waker is not serialized with this reset.
-// Draining first means such a waker is either refused (stale pre-reset
-// state) or claims the fresh cycle with its send intact; with the opposite
-// order it could claim the fresh cycle and have its send eaten, leaving
-// state woken with an empty channel — the next Wait would block forever.
+// Under Real the drain must happen BEFORE the state store. Gate.Pulse
+// delivers TryWake outside its lock from a snapshot taken after the
+// subscription was deregistered, so a delayed waker is not serialized with
+// this reset. Draining first means such a waker is either refused (stale
+// pre-reset state) or claims the fresh cycle with its send intact; with the
+// opposite order it could claim the fresh cycle and have its send eaten,
+// leaving state woken with an empty channel — the next Wait would block
+// forever. Under Virtual the delivered index lives in the selector, set
+// under k.mu together with the claim, so there is nothing to drain.
 // (Queues, by contrast, deliver every waiter-entry TryWake — including
 // Close's — while holding the queue lock; their pooled park selectors
 // depend on that in-lock delivery, see queue.parkLocked.)
 func (s *Selector) Reset() {
-	select {
-	case <-s.ch:
-	default:
+	if s.k == nil {
+		select {
+		case <-s.ch:
+		default:
+		}
 	}
 	s.state.Store(selIdle)
 }
@@ -115,24 +128,22 @@ func (s *Selector) Reset() {
 // source (or a timeout/cancellation) already claimed the cycle, so the
 // caller should wake someone else instead.
 func (s *Selector) TryWake(idx int) bool {
-	if s.k != nil {
-		k := s.k
+	if k := s.k; k != nil {
 		k.mu.Lock()
+		defer k.mu.Unlock()
 		if st := s.state.Load(); st != selIdle && st != selArmed {
-			k.mu.Unlock()
 			return false
 		}
 		s.state.Store(selWoken)
-		if s.parked {
-			s.parked = false
+		s.idx = idx
+		if c := s.owner; c != nil {
 			if s.t != nil {
 				s.t.dead = true
 				s.t = nil
 			}
-			k.runnable++
+			s.owner, c.sel = nil, nil
+			k.readyLocked(c)
 		}
-		k.mu.Unlock()
-		s.ch <- idx
 		return true
 	}
 	for {
@@ -145,26 +156,6 @@ func (s *Selector) TryWake(idx int) bool {
 			return true
 		}
 	}
-}
-
-// fireSelectorLocked delivers a deadline expiry to t.sel. Called with k.mu
-// held from the advance loop; a dead timer never reaches here, so the cycle
-// is necessarily still armed.
-func (k *Virtual) fireSelectorLocked(t *timer) {
-	s := t.sel
-	if st := s.state.Load(); st != selIdle && st != selArmed {
-		// Unreachable by construction (claims mark the timer dead under
-		// k.mu), but kept as a safe fallback: the claimer owns the cleanup.
-		return
-	}
-	s.state.Store(selWoken)
-	s.parked = false
-	s.t = nil
-	t.fired = true
-	k.runnable++
-	s.ch <- Heartbeat
-	// The owner never saw this timer; the kernel recycles it.
-	putTimer(t)
 }
 
 // Wait parks the calling task until TryWake, the deadline (if positive), or
@@ -209,47 +200,35 @@ func (s *Selector) waitVirtual(ctx context.Context, deadline time.Duration) (int
 	k.mu.Lock()
 	switch s.state.Load() {
 	case selWoken:
+		idx := s.idx
 		k.mu.Unlock()
-		return <-s.ch, nil
+		return idx, nil
 	case selIdle:
-		s.state.Store(selArmed)
-		s.parked = true
-		if deadline > 0 {
-			t := getTimer()
-			t.sel = s
-			k.scheduleLocked(t, k.now.Load()+deadline)
-			s.t = t
-		}
-		k.runnable--
-		k.maybeAdvanceLocked()
-		k.mu.Unlock()
 	default:
 		k.mu.Unlock()
 		return 0, fmt.Errorf("simtime: Selector.Wait without Reset")
 	}
-	select {
-	case idx := <-s.ch:
-		return idx, nil
-	case <-ctx.Done():
-		k.mu.Lock()
-		if s.state.Load() == selWoken {
-			// A wake (or the deadline) raced cancellation and won; deliver
-			// it so the wakeup is not lost.
-			k.mu.Unlock()
-			return <-s.ch, nil
-		}
+	done := ctx.Done()
+	if isDone(done) {
 		s.state.Store(selExpired)
-		if s.parked {
-			s.parked = false
-			if s.t != nil {
-				s.t.dead = true
-				s.t = nil
-			}
-			k.runnable++
-		}
 		k.mu.Unlock()
 		return 0, ctx.Err()
 	}
+	c := k.currentLocked()
+	s.state.Store(selArmed)
+	s.owner, c.sel = c, s
+	if deadline > 0 {
+		t := getTimer()
+		t.sel = s
+		k.scheduleLocked(t, k.now.Load()+deadline)
+		s.t = t
+	}
+	if err := k.parkLocked(c, ctx, done); err != nil {
+		return 0, err
+	}
+	// The waker set idx under k.mu before readying this task; the driver's
+	// handoff orders that write before this read.
+	return s.idx, nil
 }
 
 // Select arms the selector on each source in order, parks until one fires

@@ -262,32 +262,33 @@ func TestGateClosesCheckThenArmRace(t *testing.T) {
 
 // TestGatePulseRacesSelectorReuse hammers the unserialized window between a
 // Pulse's out-of-lock TryWake and the owner's next Reset: a delayed wake
-// must either be refused or claim the fresh cycle with its send intact.
+// must either be refused or claim the fresh cycle with its delivery intact.
 // (With Reset storing idle before draining, a delayed wake could claim the
 // new cycle and have its send swallowed, hanging the owner forever — this
-// test then times out.)
+// test then times out.) The pulser is an untracked goroutine: its busy loop
+// never parks, so as a kernel task it would never let the owner run, while
+// off the kernel it races the owner's Pulse/Reset cycle from another thread.
 func TestGatePulseRacesSelectorReuse(t *testing.T) {
 	k := NewVirtual()
+	g := NewGate()
+	var done atomic.Bool
+	pulsed := make(chan struct{})
+	go func() {
+		defer close(pulsed)
+		for !done.Load() {
+			g.Pulse()
+			runtime.Gosched() // keep the owner scheduled on small GOMAXPROCS
+		}
+	}()
 	k.Run(func() {
-		g := NewGate()
-		var done atomic.Bool
-		wg := NewWaitGroup(k)
-		wg.Go("owner", func() {
-			defer done.Store(true)
-			sel := NewSelector(k)
-			for i := 0; i < 2000; i++ {
-				if idx, err := sel.Select(context.Background(), 0, g); err != nil || idx != 0 {
-					t.Errorf("cycle %d: Select = %d, %v", i, idx, err)
-					return
-				}
+		defer done.Store(true)
+		sel := NewSelector(k)
+		for i := 0; i < 2000; i++ {
+			if idx, err := sel.Select(context.Background(), 0, g); err != nil || idx != 0 {
+				t.Errorf("cycle %d: Select = %d, %v", i, idx, err)
+				return
 			}
-		})
-		wg.Go("pulser", func() {
-			for !done.Load() {
-				g.Pulse()
-				runtime.Gosched() // keep the owner scheduled on small GOMAXPROCS
-			}
-		})
-		_ = wg.Wait(context.Background())
+		}
 	})
+	<-pulsed
 }

@@ -9,22 +9,36 @@
 // wall clock with a scale factor and is what a downstream user embeds in an
 // actual application.
 //
-// The contract for tasks running under Virtual: any blocking must happen via
-// Sleep, Waiter.Wait, Selector.Wait/Select, or WaitGroup.Wait. Blocking on
-// ordinary Go primitives (unbuffered channels, sync.WaitGroup, ...) from a
-// tracked task stalls the kernel, because the kernel believes the task is
-// runnable and refuses to advance time.
+// Virtual runs exactly one tracked task at a time. Each task is a coroutine;
+// a single driver resumes ready tasks in FIFO order and, when none is ready,
+// fires the next batch of timers. Parking (Sleep, Waiter.Wait,
+// Selector.Wait/Select, and the WaitGroup and Barrier built on them) hands
+// control straight back to the driver, and a wake appends the parked task to
+// the ready FIFO. Same-instant order is therefore a pure function of the
+// program: timers sharing a deadline fire in the order they were set, and
+// woken tasks run in the order they were woken.
 //
-// Context cancellation under Virtual is best-effort: a cancelled Sleep or
-// Wait returns promptly in wall time, but the kernel may have advanced
-// virtual time to the abandoned deadline if no other task was runnable.
-// Simulation code therefore coordinates shutdown deterministically through
+// The entry contract for Virtual: every blocking call must come from a
+// tracked task (one started by Go, GoDaemon, or Run), and it must block
+// through the primitives above. Blocking on ordinary Go primitives
+// (unbuffered channels, sync.WaitGroup, ...) from a tracked task stalls the
+// kernel, because no other task runs until the current one parks. Untracked
+// goroutines may spawn tasks (Go, Run), wake parked tasks (Waiter.Wake,
+// Selector.TryWake, Gate.Pulse), and wait for the kernel to empty (Drain);
+// they must not Sleep or Wait on the kernel. Run called from a tracked task
+// runs its function inline.
+//
+// Context cancellation under Virtual is best-effort. A cancel issued by a
+// tracked task is delivered to the tasks parked on that context once the
+// current instant's ready tasks have run, before time advances, so it is
+// deterministic. A cancel from outside the kernel (a wall-clock timeout, a
+// user's goroutine) lands at whatever instant the kernel has reached when it
+// arrives. Simulation code therefore coordinates shutdown through
 // kernel-visible events — queue Close, stop flags checked at operation
 // boundaries, and finite compute sleeps that always drain on their own.
 package simtime
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sync"
@@ -53,12 +67,14 @@ type Runtime interface {
 // task calls Wake to unpark it. A Waiter may be woken before Wait is called,
 // in which case Wait returns immediately. Waiters are not reusable.
 type Waiter struct {
-	k  *Virtual // nil for the real runtime
-	ch chan struct{}
+	// Under Virtual, state and owner are guarded by k.mu. Under Real,
+	// state is guarded by mu and ch is closed on wake.
+	k     *Virtual
+	owner *task // the parked task (Virtual)
+	state waitState
 
-	mu     sync.Mutex
-	state  waitState
-	parked bool
+	mu sync.Mutex
+	ch chan struct{}
 }
 
 type waitState int
@@ -74,33 +90,59 @@ const (
 // false means the waiter had already been cancelled (its Wait returned with
 // a context error), so the caller should wake someone else instead.
 func (w *Waiter) Wake() bool {
-	w.mu.Lock()
-	switch w.state {
-	case waitIdle:
-		w.state = waitWoken
-		close(w.ch)
-		w.mu.Unlock()
-		return true
-	case waitWaiting:
-		w.state = waitWoken
-		close(w.ch)
-		parked := w.parked
-		w.mu.Unlock()
-		if parked && w.k != nil {
-			w.k.unparked()
+	if k := w.k; k != nil {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		switch w.state {
+		case waitIdle:
+			w.state = waitWoken
+		case waitWaiting:
+			w.state = waitWoken
+			c := w.owner
+			w.owner, c.waiter = nil, nil
+			k.readyLocked(c)
+		case waitCancelled:
+			return false
 		}
 		return true
-	case waitWoken:
-		w.mu.Unlock()
-		return true
-	default: // cancelled
-		w.mu.Unlock()
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch w.state {
+	case waitIdle, waitWaiting:
+		w.state = waitWoken
+		close(w.ch)
+	case waitCancelled:
 		return false
 	}
+	return true
 }
 
 // Wait parks the calling task until Wake or ctx cancellation.
 func (w *Waiter) Wait(ctx context.Context) error {
+	if k := w.k; k != nil {
+		k.mu.Lock()
+		switch w.state {
+		case waitWoken:
+			k.mu.Unlock()
+			return nil
+		case waitIdle:
+		default:
+			k.mu.Unlock()
+			return fmt.Errorf("simtime: Wait called twice on the same Waiter")
+		}
+		done := ctx.Done()
+		if isDone(done) {
+			w.state = waitCancelled
+			k.mu.Unlock()
+			return ctx.Err()
+		}
+		c := k.currentLocked()
+		w.state = waitWaiting
+		w.owner, c.waiter = c, w
+		return k.parkLocked(c, ctx, done)
+	}
+
 	w.mu.Lock()
 	switch w.state {
 	case waitWoken:
@@ -108,34 +150,38 @@ func (w *Waiter) Wait(ctx context.Context) error {
 		return nil
 	case waitIdle:
 		w.state = waitWaiting
-		w.parked = true
 	default:
 		w.mu.Unlock()
 		return fmt.Errorf("simtime: Wait called twice on the same Waiter")
 	}
 	w.mu.Unlock()
-
-	if w.k != nil {
-		w.k.parkedNow()
-	}
-
 	select {
 	case <-w.ch:
 		return nil
 	case <-ctx.Done():
 		w.mu.Lock()
+		defer w.mu.Unlock()
 		if w.state == waitWoken {
 			// Wake raced with cancellation and won; treat as woken so the
 			// wakeup is not lost.
-			w.mu.Unlock()
 			return nil
 		}
 		w.state = waitCancelled
-		w.mu.Unlock()
-		if w.k != nil {
-			w.k.unparked()
-		}
 		return ctx.Err()
+	}
+}
+
+// isDone reports whether a context's Done channel is closed, without
+// blocking. A nil channel (a context that can never be cancelled) is not.
+func isDone(done <-chan struct{}) bool {
+	if done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -143,36 +189,60 @@ func (w *Waiter) Wait(ctx context.Context) error {
 // Virtual runtime
 // ---------------------------------------------------------------------------
 
-// Virtual is a deterministic discrete-event runtime. Time advances to the
-// earliest pending timer whenever all tracked tasks are parked.
+// Virtual is a deterministic discrete-event runtime. Tasks run one at a
+// time; time advances to the earliest pending timer whenever no task is
+// ready. See kernel.go for the driver.
 type Virtual struct {
 	mu sync.Mutex
-	// now is written only under mu but read lock-free by Now: the kernel
-	// advances time only while every tracked task is parked, so a running
-	// task can never observe a concurrent advance — the atomic read returns
-	// exactly what a mutex-guarded read would, without the global lock
-	// traffic (Now is called on every queue, device, and profiler
+	// now is advanced by the driver, or by a task parking with nothing else
+	// ready, never while another task runs; Now reads it lock-free. A
+	// running task can never observe a concurrent advance, so the atomic
+	// read returns exactly what a mutex-guarded read would, without the
+	// lock traffic (Now is called on every queue, device, and profiler
 	// operation).
-	now      atomicDuration
-	runnable int
-	tasks    int
+	now   atomicDuration
+	tasks int
 	// daemons counts live daemon tasks (see GoDaemon): tasks that may park
 	// indefinitely waiting for external requests. A kernel whose parked
 	// tasks are all daemons is idle, not deadlocked.
 	daemons int
-	timers  timerHeap
+
+	// ready is the FIFO of tasks waiting to be resumed, linked through
+	// task.rnext.
+	readyHead, readyTail *task
+	// cur is the task running now; nil while the driver holds control.
+	cur *task
+	// driving is set while a driver goroutine owns the loop; extWait while
+	// that driver blocks on ext for a wake from outside the kernel.
+	driving bool
+	extWait bool
+	ext     chan struct{}
+	stall   *time.Timer // the driver's deadlock timer, reused
+
+	timers timerHeap
 	// byDeadline maps a pending deadline to its heap node, so timers sharing
 	// a deadline chain off a single node: scheduling them is O(1) and firing
 	// them needs one heap pop for the whole batch.
 	byDeadline map[time.Duration]*timer
-	idle       chan struct{} // closed when tasks hits zero; replaced on Go
+
+	// watches holds one cancellation watch per context Done channel that a
+	// task has parked on; scan lists the foreign watches that have parked
+	// tasks; owned holds the Done channels of contexts made by WithCancel.
+	watches map[<-chan struct{}]*ctxWatch
+	scan    []*ctxWatch
+	owned   map[<-chan struct{}]struct{}
+
+	idle chan struct{} // closed when tasks hits zero; replaced on spawn
 }
 
 // NewVirtual returns a virtual runtime starting at time zero.
 func NewVirtual() *Virtual {
 	return &Virtual{
 		idle:       closedChan(),
+		ext:        make(chan struct{}, 1),
 		byDeadline: make(map[time.Duration]*timer),
+		watches:    make(map[<-chan struct{}]*ctxWatch),
+		owned:      make(map[<-chan struct{}]struct{}),
 	}
 }
 
@@ -187,9 +257,10 @@ func (k *Virtual) Now() time.Duration {
 	return k.now.Load()
 }
 
-// Go spawns fn as a tracked task.
+// Go spawns fn as a tracked task. It joins the back of the ready FIFO; a
+// task spawning another keeps running until it parks.
 func (k *Virtual) Go(name string, fn func()) {
-	k.spawn(name, fn, false)
+	k.spawn(fn, false)
 }
 
 // GoDaemon spawns fn as a tracked daemon task. Daemons schedule exactly
@@ -199,40 +270,7 @@ func (k *Virtual) Go(name string, fn func()) {
 // every client has exited. Daemon tasks still count toward Drain; whoever
 // spawns one owns shutting it down (e.g. by closing the queue it parks on).
 func (k *Virtual) GoDaemon(name string, fn func()) {
-	k.spawn(name, fn, true)
-}
-
-func (k *Virtual) spawn(name string, fn func(), daemon bool) {
-	k.mu.Lock()
-	if k.tasks == 0 {
-		k.idle = make(chan struct{})
-	}
-	k.tasks++
-	k.runnable++
-	if daemon {
-		k.daemons++
-	}
-	k.mu.Unlock()
-	go func() {
-		defer k.taskDone(daemon)
-		fn()
-	}()
-	_ = name
-}
-
-func (k *Virtual) taskDone(daemon bool) {
-	k.mu.Lock()
-	k.tasks--
-	k.runnable--
-	if daemon {
-		k.daemons--
-	}
-	if k.tasks == 0 {
-		close(k.idle)
-	} else {
-		k.maybeAdvanceLocked()
-	}
-	k.mu.Unlock()
+	k.spawn(fn, true)
 }
 
 // GoDaemon spawns fn as a daemon task when rt is the Virtual kernel (see
@@ -246,10 +284,27 @@ func GoDaemon(rt Runtime, name string, fn func()) {
 	rt.Go(name, fn)
 }
 
+// Run executes fn as a tracked task of rt when rt is the Virtual kernel
+// (see Virtual.Run: inline when the caller already is one of its tasks),
+// and directly otherwise. It is how code reachable from an untracked
+// goroutine — a Close called by the user, say — waits on the kernel.
+func Run(rt Runtime, fn func()) {
+	if v, ok := rt.(*Virtual); ok {
+		v.Run(fn)
+		return
+	}
+	fn()
+}
+
 // Run executes fn as a tracked task and blocks the (untracked) caller until
 // it returns. It is the entry point for driving a simulation from a test or
-// a main function.
+// a main function. Called from a tracked task, Run simply calls fn: the
+// caller already is a task of this kernel.
 func (k *Virtual) Run(fn func()) {
+	if k.onTask() {
+		fn()
+		return
+	}
 	done := make(chan struct{})
 	k.Go("run", func() {
 		defer close(done)
@@ -260,8 +315,12 @@ func (k *Virtual) Run(fn func()) {
 
 // Drain blocks the (untracked) caller until every tracked task has exited.
 // Callers typically cancel the session context first so parked tasks wake
-// and unwind.
+// and unwind. Drain panics when called from a tracked task, which would
+// wait for itself.
 func (k *Virtual) Drain() {
+	if k.onTask() {
+		panic("simtime: Drain called from a tracked task")
+	}
 	k.mu.Lock()
 	idle := k.idle
 	k.mu.Unlock()
@@ -277,209 +336,32 @@ func (k *Virtual) Tasks() int {
 
 // Sleep pauses the calling task for d of virtual time.
 func (k *Virtual) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
+	done := ctx.Done()
+	if isDone(done) {
+		return ctx.Err()
 	}
 	if d <= 0 {
 		return nil
 	}
-	t := getTimer()
 	k.mu.Lock()
+	c := k.currentLocked()
+	t := getTimer()
+	t.owner = c
+	c.sleep = t
 	k.scheduleLocked(t, k.now.Load()+d)
-	k.runnable--
-	k.maybeAdvanceLocked()
-	k.mu.Unlock()
-
-	select {
-	case <-t.ch:
-		putTimer(t)
-		return nil
-	case <-ctx.Done():
-		k.mu.Lock()
-		if !t.fired {
-			// The kernel still owns the timer; it is discarded (and pooled)
-			// when its deadline is reached.
-			t.dead = true
-			k.runnable++
-			k.mu.Unlock()
-			return ctx.Err()
-		}
-		k.mu.Unlock()
-		// Fired concurrently with cancellation: consume the wake so the
-		// timer is fully settled, then recycle it.
-		<-t.ch
-		putTimer(t)
-		return ctx.Err()
-	}
-}
-
-// scheduleLocked registers t to fire at the given deadline. Timers sharing a
-// deadline chain off the first one scheduled (the only one in the heap), in
-// FIFO order, so same-deadline batches cost one heap operation total.
-func (k *Virtual) scheduleLocked(t *timer, deadline time.Duration) {
-	t.deadline = deadline
-	if head, ok := k.byDeadline[deadline]; ok {
-		if head.tail == nil {
-			head.next, head.tail = t, t
-		} else {
-			head.tail.next, head.tail = t, t
-		}
-		return
-	}
-	heap.Push(&k.timers, t)
-	k.byDeadline[deadline] = t
+	return k.parkLocked(c, ctx, done)
 }
 
 // NewWaiter returns a kernel-aware parking primitive.
 func (k *Virtual) NewWaiter() *Waiter {
-	return &Waiter{k: k, ch: make(chan struct{})}
+	return &Waiter{k: k}
 }
-
-func (k *Virtual) parkedNow() {
-	k.mu.Lock()
-	k.runnable--
-	k.maybeAdvanceLocked()
-	k.mu.Unlock()
-}
-
-func (k *Virtual) unparked() {
-	k.mu.Lock()
-	k.runnable++
-	k.mu.Unlock()
-}
-
-// maybeAdvanceLocked advances virtual time to the next timer deadline while
-// no task is runnable. Called with k.mu held.
-func (k *Virtual) maybeAdvanceLocked() {
-	stallPolls := 0
-	for k.runnable == 0 && k.tasks > 0 {
-		if len(k.timers) == 0 {
-			if k.tasks == k.daemons {
-				// Every parked task is a daemon waiting for external
-				// requests: the kernel is idle, not deadlocked. Time holds
-				// until a new task spawns or a cross-thread wake arrives.
-				return
-			}
-			// No task is runnable and nothing is scheduled to wake one.
-			// This is either a genuine deadlock or a transient window:
-			// context cancellation wakes parked tasks through ordinary
-			// channels, so their kernel accounting lags by a few
-			// instructions. Poll briefly on the wall clock before
-			// declaring deadlock.
-			if stallPolls < maxStallPolls {
-				stallPolls++
-				k.mu.Unlock()
-				time.Sleep(stallPollInterval)
-				k.mu.Lock()
-				continue
-			}
-			panic(fmt.Sprintf(
-				"simtime: deadlock at t=%v: %d tasks alive, none runnable, no pending timers",
-				k.now.Load(), k.tasks))
-		}
-		stallPolls = 0
-		head := heap.Pop(&k.timers).(*timer)
-		delete(k.byDeadline, head.deadline)
-		// Advance time only when the batch has a live timer, so deadlines
-		// abandoned by cancelled sleeps never move the clock.
-		live := false
-		for t := head; t != nil; t = t.next {
-			if !t.dead {
-				live = true
-				break
-			}
-		}
-		if live {
-			k.now.Store(head.deadline)
-		}
-		for t := head; t != nil; {
-			next := t.next
-			switch {
-			case t.dead:
-				// Abandoned by a cancelled sleep or a claimed selector; the
-				// kernel is its last owner.
-				putTimer(t)
-			case t.sel != nil:
-				k.fireSelectorLocked(t)
-			default:
-				t.fired = true
-				k.runnable++
-				// Buffered and drained exactly once per cycle, so the send
-				// cannot block. The sleeper owns t once the value lands.
-				t.ch <- struct{}{}
-			}
-			t = next
-		}
-	}
-}
-
-const (
-	// stallPollInterval and maxStallPolls bound how long the kernel waits
-	// for in-flight wakeups (e.g. from context cancellation) before
-	// declaring a deadlock. Total grace period: ~2s of wall time.
-	stallPollInterval = 200 * time.Microsecond
-	maxStallPolls     = 10000
-)
 
 // atomicDuration is a time.Duration with atomic load/store.
 type atomicDuration struct{ v atomic.Int64 }
 
 func (d *atomicDuration) Load() time.Duration   { return time.Duration(d.v.Load()) }
 func (d *atomicDuration) Store(t time.Duration) { d.v.Store(int64(t)) }
-
-// timer is a pending kernel deadline. ch is the wake channel for plain
-// sleeps; sel is set instead for selector deadline-parks (see select.go).
-// next/tail chain timers that share a deadline off the single heap node.
-type timer struct {
-	deadline time.Duration
-	ch       chan struct{}
-	sel      *Selector
-	fired    bool
-	dead     bool
-	next     *timer
-	tail     *timer
-}
-
-// timerPool recycles timers (and their wake channels) across sleeps: the
-// kernel fast path allocates nothing in steady state.
-var timerPool = sync.Pool{New: func() any {
-	return &timer{ch: make(chan struct{}, 1)}
-}}
-
-func getTimer() *timer {
-	t := timerPool.Get().(*timer)
-	t.fired, t.dead = false, false
-	t.sel = nil
-	t.next, t.tail = nil, nil
-	return t
-}
-
-func putTimer(t *timer) {
-	// Drop a stale wake left by the rare fire/cancel race so the next user
-	// of this timer does not wake instantly.
-	select {
-	case <-t.ch:
-	default:
-	}
-	timerPool.Put(t)
-}
-
-// timerHeap orders heap nodes by deadline. Deadlines are unique in the heap
-// (same-deadline timers chain off one node), so no tiebreak is needed.
-type timerHeap []*timer
-
-func (h timerHeap) Len() int           { return len(h) }
-func (h timerHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
-func (h timerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)        { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
-}
 
 // ---------------------------------------------------------------------------
 // Real runtime

@@ -2,15 +2,14 @@ package trace
 
 import "sort"
 
-// Lane canonicalization. Most span identity fields are pure functions of
-// the simulation, but one is not: which *lane* serviced a batch when
-// several interchangeable peers woke at the same virtual instant. A
-// loader's batch constructors race for samples, so whether batch 17 lands
-// in consumer queue 0 or queue 2 — and therefore which GPU device runs its
-// step — is decided by the Go scheduler, not by virtual time. The peers
-// are symmetric, so every *timing* in the trace is unaffected; only the
-// lane labels permute between runs (visibly so under -race, which
-// perturbs goroutine scheduling).
+// Lane canonicalization. Most span identity fields describe the
+// simulation itself, but one is only a label: which *lane* serviced a
+// batch when several interchangeable peers could have — whether batch 17
+// lands in consumer queue 0 or queue 2, and therefore which GPU device
+// runs its step. The peers are symmetric, so every *timing* in the trace
+// is the same under any such labeling. (When the kernel still let peers
+// race across threads, the Go scheduler picked the labels, and they
+// permuted between runs.)
 //
 // Canonicalize re-derives those labels from the label-erased span multiset
 // itself: per tenant and node, batch journeys are packed onto lanes
@@ -18,8 +17,8 @@ import "sort"
 // that is free for its occupancy interval), and device-occupancy spans are
 // packed the same way. The result is a valid lane assignment — journeys
 // sharing a lane never overlap, and no more lanes are used than were
-// genuinely concurrent — that is a pure function of the span set, making
-// the exported trace byte-identical across runs and schedulers.
+// genuinely concurrent — that is a pure function of the span set, so the
+// exported trace does not depend on how peers were labeled.
 
 // laneStage reports whether s's Key is a consumer-lane label subject to
 // canonicalization. These stages link to a specific batch via (Tenant,

@@ -17,20 +17,16 @@
 // same invariant the netsim fabric maintains for flows: deterministic in
 // virtual time, not "deterministic only if the scheduler cooperates".
 //
-// The guarantee is exactly as strong as the simulation's own: byte
-// identity holds wherever every event is a pure function of virtual time —
-// single-consumer sessions, multi-node jobs (each rank owns its loader),
-// chaos replays. Two simulator behaviors are weaker than that, and the
-// trace inherits them. When one loader runs several batch constructors
-// (GPUs > 1), which racing constructor wins each sample during starvation
-// is scheduler-dependent, so batch composition — and with it seal-time
-// micro-timing at the stream tail — can vary between runs even though
-// every stall aggregate is reproducible. Likewise, when several tenants
-// contend for a shared disk or worker core at the same virtual instant,
-// the service order is scheduler-dependent. Canonicalize removes the one
-// nondeterminism tracing would otherwise *add* (lane labels); it cannot —
-// and does not try to — make the trace more deterministic than the
-// simulation it records.
+// The guarantee is exactly as strong as the simulation's own. The virtual
+// kernel runs one task at a time in an order fixed by the program, so a
+// run driven from one goroutine — or fanned out with StreamAll — replays
+// the same events in the same order; repeated-run tests cover multi-GPU
+// sessions (which batch constructor wins each sample), a 16-tenant
+// cluster, and 8- and 16-node chaos jobs. Consumers started from separate
+// goroutines join the kernel in wall-clock order, and the trace inherits
+// that. Canonicalize makes the labels independent
+// of peer choice; it cannot — and does not try to — make the trace more
+// deterministic than the simulation it records.
 //
 // # Cost
 //

@@ -404,8 +404,10 @@ func (a *ServerAddr) Close() error {
 	eng := a.eng
 	a.engMu.Unlock()
 	eng.Stop()
-	_ = a.wg.Wait(context.Background())
-	a.srv.Close()
+	simtime.Run(a.rt, func() {
+		_ = a.wg.Wait(context.Background())
+		a.srv.Close()
+	})
 	return nil
 }
 
@@ -655,7 +657,7 @@ func Dial(addr *ServerAddr, opts ...DialOption) (*RemoteSession, error) {
 	rs := &RemoteSession{addr: addr, rt: addr.rt, stream: o.stream, retain: o.retain}
 	var cli *service.Client
 	var err error
-	rs.runOnKernel(func() {
+	simtime.Run(addr.rt, func() {
 		cli, err = service.Open(context.Background(), addr.sn.net, addr.ep, replicaEP, spec, cfg)
 	})
 	if err != nil {
@@ -679,11 +681,6 @@ type RemoteSession struct {
 	stream string
 	retain bool
 
-	// inline makes Batches run its loop on the caller's already-tracked
-	// task instead of wrapping a v.Run — how StreamAll runs many remote
-	// sessions concurrently on one kernel.
-	inline atomic.Bool
-
 	state   atomic.Int32
 	closed  atomic.Bool
 	err     error
@@ -692,21 +689,6 @@ type RemoteSession struct {
 	batches atomic.Int64
 	samples atomic.Int64
 	bytes   atomic.Int64
-}
-
-// runOnKernel executes fn as a tracked task of a virtual runtime, inline
-// when the caller already is one (StreamAll), or directly on a real
-// runtime.
-func (s *RemoteSession) runOnKernel(fn func()) {
-	if s.inline.Load() {
-		fn()
-		return
-	}
-	if v, ok := s.rt.(*simtime.Virtual); ok {
-		v.Run(fn)
-		return
-	}
-	fn()
 }
 
 // Batches returns a single-use iterator over the remote stream, shaped
@@ -724,7 +706,7 @@ func (s *RemoteSession) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 			yield(nil, ErrSessionConsumed)
 			return
 		}
-		s.runOnKernel(func() {
+		simtime.Run(s.rt, func() {
 			if err := ctx.Err(); err != nil {
 				s.err = err
 				yield(nil, err)
@@ -775,7 +757,7 @@ func (s *RemoteSession) Stats() RemoteStats { return s.cli.Stats() }
 func (s *RemoteSession) Close() (*Report, error) {
 	s.state.Store(sessionClosed)
 	if s.closed.CompareAndSwap(false, true) {
-		s.runOnKernel(func() { _ = s.cli.Close(context.Background()) })
+		simtime.Run(s.rt, func() { _ = s.cli.Close(context.Background()) })
 	}
 	cs := s.cli.Stats()
 	rep := &Report{
@@ -792,27 +774,38 @@ func (s *RemoteSession) Close() (*Report, error) {
 	return rep, s.err
 }
 
-// StreamAll consumes many remote sessions concurrently on one kernel:
-// each fn(i, session) runs as its own tracked task, so virtual time
-// advances with every client's traffic interleaved — the N-trainers ×
-// one-fleet topology in a single deterministic run. On a real runtime it
-// degrades to plain goroutines.
-func StreamAll(ctx context.Context, sessions []*RemoteSession, fn func(i int, s *RemoteSession)) {
+// StreamAll consumes many sessions concurrently on one kernel: local
+// Sessions of one cluster, or RemoteSessions of one fabric. Each
+// fn(i, session) runs as its own tracked task, spawned in slice order
+// inside a single Run, so virtual time advances with every consumer's
+// traffic interleaved and the run is as deterministic as a single session
+// — the N-tenants × one-machine and N-trainers × one-fleet topologies.
+// (Consumers started from separate goroutines instead join the kernel in
+// wall-clock order, so their interleaving, and with it their reports, can
+// differ from run to run.) Sessions that do not all share one virtual
+// runtime — or run on a real one — get plain goroutines instead.
+func StreamAll[S interface{ *Session | *RemoteSession }](ctx context.Context, sessions []S, fn func(i int, s S)) {
 	if len(sessions) == 0 {
 		return
 	}
-	if v, ok := sessions[0].rt.(*simtime.Virtual); ok {
+	rtOf := func(s S) Runtime {
+		if ls, ok := any(s).(*Session); ok {
+			return ls.rt
+		}
+		return any(s).(*RemoteSession).rt
+	}
+	v, ok := rtOf(sessions[0]).(*simtime.Virtual)
+	for _, s := range sessions {
+		ok = ok && rtOf(s) == Runtime(v)
+	}
+	if ok {
 		v.Run(func() {
 			wg := simtime.NewWaitGroup(v)
 			for i, s := range sessions {
-				s.inline.Store(true)
-				wg.Go(fmt.Sprintf("svc-stream-%d", i), func() { fn(i, s) })
+				wg.Go("stream", func() { fn(i, s) })
 			}
 			_ = wg.Wait(ctx)
 		})
-		for _, s := range sessions {
-			s.inline.Store(false)
-		}
 		return
 	}
 	var wg sync.WaitGroup

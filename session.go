@@ -469,7 +469,7 @@ func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 			yield(nil, ErrSessionConsumed)
 			return
 		}
-		s.runOnKernel(func() {
+		simtime.Run(s.rt, func() {
 			if err := ctx.Err(); err != nil {
 				s.err = err
 				yield(nil, err)
@@ -541,17 +541,6 @@ func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 			}
 		})
 	}
-}
-
-// runOnKernel executes fn as a tracked task of a virtual runtime (whose
-// time only advances while tracked tasks are parked), or inline on a real
-// one.
-func (s *Session) runOnKernel(fn func()) {
-	if v, ok := s.rt.(*simtime.Virtual); ok {
-		v.Run(fn)
-		return
-	}
-	fn()
 }
 
 // teardown stops the chaos replay and the loader, then waits for the

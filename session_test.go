@@ -3,6 +3,7 @@ package minato
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -322,5 +323,25 @@ func TestTrainOversizedBatchErrors(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Train hung on oversized batch size")
+	}
+}
+
+// TestTrainMultiGPUDeterministic: an 8-GPU ConfigA training run is
+// bit-identical from run to run — every float, duration and histogram of
+// the report, including the per-GPU data stalls that depend on which GPU's
+// batch constructor gets which batches.
+func TestTrainMultiGPUDeterministic(t *testing.T) {
+	run := func() *Report {
+		rep, err := Train("speech-3s", WithHardware(ConfigA()), WithGPUs(8), WithIterations(96))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	first := run()
+	for i := 1; i < 4; i++ {
+		if rep := run(); !reflect.DeepEqual(first, rep) {
+			t.Fatalf("run %d differs from run 0:\n run 0: %+v\n run %d: %+v", i, first, i, rep)
+		}
 	}
 }
