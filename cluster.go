@@ -420,7 +420,7 @@ func (c *Cluster) train(w Workload, o *sessionOptions) (*Report, error) {
 	}
 	env := c.sessionEnv(gpuIdxs, cacheTenant, share)
 	var rep *Report
-	simtime.Run(c.rt, func() {
+	c.rt.Run(func() {
 		rep, err = trainer.RunEnv(env, c.disk, c.cache, w, f, o.params)
 	})
 	return rep, err
@@ -594,8 +594,8 @@ func (c *Cluster) isClosed() bool {
 // reclaim drains the cluster-owned virtual kernel and recycles the shared
 // cache storage. Runs at most once, after close with no active sessions.
 func (c *Cluster) reclaim() {
-	if v, ok := c.rt.(*simtime.Virtual); ok && c.ownsRT {
-		v.Drain()
+	if c.ownsRT {
+		c.rt.Drain()
 	}
 	if c.cache != nil {
 		c.cache.Recycle()

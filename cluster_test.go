@@ -648,3 +648,62 @@ func TestStreamAllLocalSessionsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamAllSeparateKernels covers StreamAll's plain-goroutine branch:
+// sessions opened on their own kernels run truly concurrently, sharing only
+// process-wide state (permutation and order caches, the coroutine pool).
+// Each session stays deterministic on its own kernel, so the fanned-out
+// reports must equal those of the same sessions run one after another.
+// Sessions 0 and 2 (and 1 and 3) share a seed, so their kernels race on the
+// same cache entries.
+func TestStreamAllSeparateKernels(t *testing.T) {
+	open := func() []*Session {
+		sessions := make([]*Session, 4)
+		for i := range sessions {
+			sess, err := Open(sessionDataset{n: 1024},
+				WithPipeline(flatPipeline(2*time.Millisecond)),
+				WithBatchSize(8),
+				WithIterations(64),
+				WithSeed(uint64(i%2+1)),
+				WithEnv(EnvConfig{Cores: 4, GPUs: 1}),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[i] = sess
+		}
+		return sessions
+	}
+	consume := func(sess *Session) *Report {
+		for _, err := range sess.Batches(context.Background()) {
+			if err != nil {
+				t.Error(err)
+				break
+			}
+		}
+		rep, err := sess.Close()
+		if err != nil {
+			t.Error(err)
+		}
+		return rep
+	}
+
+	var sequential []*Report
+	for _, sess := range open() {
+		sequential = append(sequential, consume(sess))
+	}
+	sessions := open()
+	if sessions[0].Runtime() == sessions[1].Runtime() {
+		t.Fatal("Open sessions share a kernel; want one kernel each")
+	}
+	concurrent := make([]*Report, len(sessions))
+	StreamAll(context.Background(), sessions, func(i int, sess *Session) {
+		concurrent[i] = consume(sess)
+	})
+	for i := range sequential {
+		if !reflect.DeepEqual(sequential[i], concurrent[i]) {
+			t.Fatalf("session %d: concurrent report differs from sequential:\n%+v\nvs\n%+v",
+				i, concurrent[i], sequential[i])
+		}
+	}
+}

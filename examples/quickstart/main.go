@@ -53,9 +53,7 @@ func main() {
 	cfg.WarmupSamples = 24
 
 	// The session owns the runtime (deterministic virtual time, so this
-	// demo is instant and exact — pass minato.WithRuntime(
-	// minato.NewRealRuntime(1)) to run against the wall clock instead),
-	// the environment, and the loader.
+	// demo is instant and exact), the environment, and the loader.
 	sess, err := minato.Open(toyDataset{},
 		minato.WithPipeline(minato.NewPipeline("toy", decode, augment)),
 		minato.WithBatchSize(8),

@@ -24,7 +24,7 @@ type Engine struct {
 // StartEngine launches the replay task on wg (no-op returning nil when
 // events is empty). apply runs in the engine's task at each event time;
 // after Stop it is never called again.
-func StartEngine(rt simtime.Runtime, wg *simtime.WaitGroup, events []Event, apply func(Event)) *Engine {
+func StartEngine(rt *simtime.Virtual, wg *simtime.WaitGroup, events []Event, apply func(Event)) *Engine {
 	if len(events) == 0 {
 		return nil
 	}
@@ -71,7 +71,7 @@ func (e *Engine) Stop() {
 // Pause with terminal=true (no resume scheduled in the script) releases
 // waiters with ErrPreempted instead of parking them forever.
 type Pauser struct {
-	rt simtime.Runtime
+	rt *simtime.Virtual
 
 	mu       sync.Mutex
 	paused   bool
@@ -80,7 +80,7 @@ type Pauser struct {
 }
 
 // NewPauser returns an unpaused gate.
-func NewPauser(rt simtime.Runtime) *Pauser {
+func NewPauser(rt *simtime.Virtual) *Pauser {
 	return &Pauser{rt: rt}
 }
 

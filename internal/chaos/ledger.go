@@ -17,7 +17,7 @@ import (
 // (kind, node), the fault and fault-window spans, and the recoveries still
 // waiting for their first completed step. Safe for concurrent use.
 type Ledger struct {
-	rt     simtime.Runtime
+	rt     *simtime.Virtual
 	tr     *trace.Recorder
 	tenant int32
 	stall  func(Kind) time.Duration
@@ -42,7 +42,7 @@ type mark struct {
 // stall is the caller's attribution rule: the cumulative consumer stall a
 // window of the given kind accrues. A window's StallDuring is its growth
 // between Open and Close.
-func NewLedger(rt simtime.Runtime, tr *trace.Recorder, tenant int32, stall func(Kind) time.Duration) *Ledger {
+func NewLedger(rt *simtime.Virtual, tr *trace.Recorder, tenant int32, stall func(Kind) time.Duration) *Ledger {
 	return &Ledger{rt: rt, tr: tr, tenant: tenant, stall: stall,
 		open: map[window]mark{}, pending: map[int]mark{}}
 }

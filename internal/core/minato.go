@@ -69,14 +69,6 @@ type Config struct {
 	DeltaClip     int           // |Δ| bound, default 2
 	SchedInterval time.Duration // default 1s
 
-	// PollInterval (10 ms, §4.2) is the fallback heartbeat for idle waits.
-	// Workers and batch constructors block on event-driven wakeups (the
-	// simtime wait fabric), not on this interval; it only bounds how long a
-	// lost wakeup could stall them on a nondeterministic runtime. Under the
-	// Virtual runtime it is never armed — a lost wakeup there surfaces as a
-	// kernel deadlock, which is a bug to fix, not to paper over.
-	PollInterval time.Duration
-
 	// OrderPreserving disables reordering for curriculum/strict-order
 	// training (§6): batches follow the sampler's order exactly and the
 	// loader behaves like PyTorch DataLoader.
@@ -113,7 +105,6 @@ func DefaultConfig() Config {
 		CPUThreshold:  0.7,
 		DeltaClip:     2,
 		SchedInterval: time.Second,
-		PollInterval:  10 * time.Millisecond,
 	}
 }
 
@@ -154,9 +145,6 @@ func (c *Config) fillDefaults(numGPUs, cores int) {
 	}
 	if c.SchedInterval <= 0 {
 		c.SchedInterval = d.SchedInterval
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = d.PollInterval
 	}
 	_ = numGPUs
 }
@@ -202,15 +190,6 @@ type Loader struct {
 	// queue operation (faults, source exhaustion, worker exits, the final
 	// consume), so parked batch constructors re-check instead of polling.
 	gate *simtime.Gate
-	// heartbeat is the idle-wait fallback: cfg.PollInterval on
-	// nondeterministic runtimes, 0 (disabled) under Virtual.
-	heartbeat time.Duration
-
-	// idleWaits counts event-driven idle waits begun by workers and batch
-	// constructors; heartbeats counts the subset that ended on the fallback
-	// heartbeat instead of a wakeup (diagnostics; zero in the default path).
-	idleWaits  atomic.Int64
-	heartbeats atomic.Int64
 
 	batchSeq atomic.Int64
 	// assembled counts the full batches the constructors have built; see
@@ -233,9 +212,6 @@ func New(env *loader.Env, spec loader.Spec, cfg Config) *Loader {
 		slowQ: queue.New[*data.Sample](env.RT, "slow", cfg.QueueCap),
 		tempQ: queue.New[tempItem](env.RT, "temp", cfg.QueueCap),
 		gate:  simtime.NewGate(),
-	}
-	if !simtime.Deterministic(env.RT) {
-		l.heartbeat = cfg.PollInterval
 	}
 	for range env.GPUs {
 		l.batchQs = append(l.batchQs,
@@ -318,12 +294,11 @@ func (l *Loader) Start(ctx context.Context) error {
 // end (§4.1: "MinatoLoader does not defer these samples to the very end").
 //
 // An idle worker blocks on "temp queue or index stream has an item" through
-// the simtime wait fabric; nothing in the steady state is paced by
-// PollInterval. A panic or a per-sample error in loading or a user
-// transform is contained to the sample being processed: the sample is
-// abandoned (counted, surfaced via Faults) and the worker keeps serving —
-// matching the isolation a multiprocessing-based loader gets from worker
-// processes.
+// the simtime wait fabric; nothing in the steady state polls. A panic or a
+// per-sample error in loading or a user transform is contained to the
+// sample being processed: the sample is abandoned (counted, surfaced via
+// Faults) and the worker keeps serving — matching the isolation a
+// multiprocessing-based loader gets from worker processes.
 func (l *Loader) spawnWorker(ctx context.Context) {
 	id := l.sched.workerSpawned()
 	l.env.WG.Go("minato-worker", func() {
@@ -369,13 +344,8 @@ func (l *Loader) spawnWorker(ctx context.Context) {
 			if !ok {
 				// Idle: block until the temp queue or the index stream has
 				// an item (or either closes).
-				l.idleWaits.Add(1)
-				src, werr := sel.Select(ctx, l.heartbeat, sources...)
-				if werr != nil {
+				if _, werr := sel.Select(ctx, 0, sources...); werr != nil {
 					return
-				}
-				if src == simtime.Heartbeat {
-					l.heartbeats.Add(1)
 				}
 				continue
 			}
@@ -452,15 +422,6 @@ func (l *Loader) abandon(seq int64) {
 // Faults returns the number of samples abandoned due to failing or
 // panicking loads and transforms.
 func (l *Loader) Faults() int64 { return l.faults.Load() }
-
-// IdleWaits returns the number of event-driven idle waits workers and batch
-// constructors entered (diagnostics).
-func (l *Loader) IdleWaits() int64 { return l.idleWaits.Load() }
-
-// HeartbeatWakes returns how many idle waits ended on the PollInterval
-// fallback heartbeat instead of an event wakeup. It is zero under the
-// Virtual runtime, where the heartbeat is never armed.
-func (l *Loader) HeartbeatWakes() int64 { return l.heartbeats.Load() }
 
 // processNew runs the load-balancer path of Algorithm 1 for one sample.
 func (l *Loader) processNew(ctx context.Context, it loader.IndexItem) error {
@@ -638,14 +599,9 @@ func (l *Loader) assemble(ctx context.Context, g int, sel *simtime.Selector, sou
 				b.Release()
 				return nil, false
 			}
-			l.idleWaits.Add(1)
-			src, err := sel.Select(ctx, l.heartbeat, sources...)
-			if err != nil {
+			if _, err := sel.Select(ctx, 0, sources...); err != nil {
 				b.Release()
 				return nil, false
-			}
-			if src == simtime.Heartbeat {
-				l.heartbeats.Add(1)
 			}
 			continue
 		}

@@ -86,7 +86,7 @@ func (sc *Scheduler) Start(ctx context.Context) {
 	sc.lastTime = sc.l.env.RT.Now()
 	sc.l.env.WG.Go("minato-scheduler", func() {
 		// Park on a selector armed on the loader's gate, with the tick
-		// interval as the heartbeat, rather than a plain Sleep: Stop pulses
+		// interval as the deadline, rather than a plain Sleep: Stop pulses
 		// the gate, and a gate wake reaches the kernel synchronously. A
 		// context cancel would leave this task's interval timer live until
 		// the cancellation propagates, and an otherwise-idle kernel can
@@ -110,7 +110,7 @@ func (sc *Scheduler) Start(ctx context.Context) {
 				if sc.l.stopFlag.Load() || sc.l.srcDone.Load() {
 					return
 				}
-				if idx == simtime.Heartbeat {
+				if idx == simtime.Expired {
 					break
 				}
 			}

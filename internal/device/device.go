@@ -44,7 +44,7 @@ import (
 // change — quadratic exactly when a multi-tenant cold rush piles hundreds
 // of readers onto a parallelism-4 disk.
 type Device struct {
-	rt   simtime.Runtime
+	rt   *simtime.Virtual
 	name string
 	cap  float64
 
@@ -116,7 +116,7 @@ type entry struct {
 }
 
 // New returns a device with the given parallel capacity (must be positive).
-func New(rt simtime.Runtime, name string, capacity float64) *Device {
+func New(rt *simtime.Virtual, name string, capacity float64) *Device {
 	if capacity <= 0 {
 		panic("device: capacity must be positive")
 	}

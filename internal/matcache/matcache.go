@@ -190,7 +190,7 @@ func (c *Cache) LeaveTenant(id int) {
 // an uncached key already being filled parks the caller as a follower
 // (waiter non-nil — Wait, then call GetOrBegin again). Followers are
 // attributed a hit on re-check; only the leader pays a miss.
-func (c *Cache) GetOrBegin(tenant int, key Key, rt simtime.Runtime) (Entry, bool, *simtime.Waiter) {
+func (c *Cache) GetOrBegin(tenant int, key Key, rt *simtime.Virtual) (Entry, bool, *simtime.Waiter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if slot, ok := c.index[key]; ok {

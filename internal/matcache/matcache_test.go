@@ -2,7 +2,6 @@ package matcache
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -240,50 +239,60 @@ func TestAbortReelection(t *testing.T) {
 	}
 }
 
-// Hammer the single-flight protocol with real goroutines under -race:
-// many tenants warming the same key space must produce exactly one fill
-// per key.
+// Hammer the single-flight protocol under -race: many tenant tasks warming
+// the same key space must produce exactly one fill per key. Each leader
+// spends the fill's cost in virtual time before Complete, so the other
+// tenants reach the key mid-fill and park as followers.
 func TestSingleFlightHammer(t *testing.T) {
-	rt := simtime.NewReal(1)
+	rt := simtime.NewVirtual()
 	c := New(1 << 30)
 	const (
 		tenants = 8
 		keys    = 32
+		cost    = time.Millisecond
 	)
 	for id := 0; id < tenants; id++ {
 		c.JoinTenant(id)
 	}
 	fills := make([]atomic.Int64, keys)
-	var wg sync.WaitGroup
-	for id := 0; id < tenants; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < keys; i++ {
-				k := key(i, 1)
-				for {
-					_, hit, w := c.GetOrBegin(id, k, rt)
-					if hit {
-						break
-					}
-					if w == nil {
-						fills[i].Add(1)
-						c.Complete(id, k, Entry{Bytes: 64, Cost: time.Millisecond})
-						break
-					}
-					if err := w.Wait(context.Background()); err != nil {
-						t.Errorf("wait: %v", err)
-						return
+	var parks atomic.Int64
+	rt.Run(func() {
+		wg := simtime.NewWaitGroup(rt)
+		for id := 0; id < tenants; id++ {
+			wg.Go("tenant", func() {
+				for i := 0; i < keys; i++ {
+					k := key(i, 1)
+					for {
+						_, hit, w := c.GetOrBegin(id, k, rt)
+						if hit {
+							break
+						}
+						if w == nil {
+							fills[i].Add(1)
+							if err := rt.Sleep(context.Background(), cost); err != nil {
+								t.Errorf("fill: %v", err)
+							}
+							c.Complete(id, k, Entry{Bytes: 64, Cost: cost})
+							break
+						}
+						parks.Add(1)
+						if err := w.Wait(context.Background()); err != nil {
+							t.Errorf("wait: %v", err)
+							return
+						}
 					}
 				}
-			}
-		}(id)
-	}
-	wg.Wait()
+			})
+		}
+		_ = wg.Wait(context.Background())
+	})
 	for i := range fills {
 		if n := fills[i].Load(); n != 1 {
 			t.Fatalf("key %d filled %d times, want exactly 1", i, n)
 		}
+	}
+	if parks.Load() == 0 {
+		t.Fatal("no follower parked on an in-flight fill")
 	}
 	st := c.Stats()
 	if st.Fills != keys || st.Misses != keys {

@@ -18,7 +18,7 @@ import (
 
 // Collector samples gauges periodically into time series.
 type Collector struct {
-	rt       simtime.Runtime
+	rt       *simtime.Virtual
 	interval time.Duration
 
 	mu     sync.Mutex
@@ -34,7 +34,7 @@ type gauge struct {
 }
 
 // NewCollector returns a collector sampling every interval of virtual time.
-func NewCollector(rt simtime.Runtime, interval time.Duration) *Collector {
+func NewCollector(rt *simtime.Virtual, interval time.Duration) *Collector {
 	return &Collector{rt: rt, interval: interval, series: make(map[string]*stats.TimeSeries)}
 }
 
@@ -128,7 +128,7 @@ func (c *Collector) Snapshot() []SeriesSnapshot {
 
 // CounterRateGauge builds a gauge reporting the rate of change of a
 // monotonic counter (per second of virtual time) over the sampling window.
-func CounterRateGauge(rt simtime.Runtime, counter func() float64) func() float64 {
+func CounterRateGauge(rt *simtime.Virtual, counter func() float64) func() float64 {
 	last := counter()
 	lastT := rt.Now()
 	return func() float64 {

@@ -50,7 +50,7 @@ type Config struct {
 // Fabric is the simulated interconnect. All methods are safe for
 // concurrent use by tracked tasks.
 type Fabric struct {
-	rt      simtime.Runtime
+	rt      *simtime.Virtual
 	latency time.Duration
 
 	mu    sync.Mutex
@@ -162,7 +162,7 @@ const unfixedRate = -1
 
 // New returns a fabric with cfg.Endpoints NICs. Endpoints and Bandwidth
 // must be positive.
-func New(rt simtime.Runtime, cfg Config) *Fabric {
+func New(rt *simtime.Virtual, cfg Config) *Fabric {
 	if cfg.Endpoints <= 0 {
 		panic("netsim: need at least one endpoint")
 	}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ import (
 
 // testFabric returns a fabric of n endpoints at 1 GB/s per NIC direction
 // with no latency, so transfer times read directly in seconds per GB.
-func testFabric(k simtime.Runtime, n int) *Fabric {
+func testFabric(k *simtime.Virtual, n int) *Fabric {
 	return New(k, Config{Endpoints: n, Bandwidth: 1e9})
 }
 
@@ -245,23 +246,30 @@ func TestTransferCancellation(t *testing.T) {
 		}
 	})
 
-	// Mid-flight cancellation under the wall-clock runtime (under Virtual,
-	// cancellation is best-effort by design — simulation shutdown uses
-	// kernel-visible events like barrier breaks instead).
-	r := simtime.NewReal(1e4)
-	f := New(r, Config{Endpoints: 2, Bandwidth: 1e9})
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(20*time.Millisecond, cancel)
-	if err := f.Transfer(ctx, 0, 1, 1e12); err != context.Canceled {
-		t.Fatalf("cancelled transfer returned %v, want context.Canceled", err)
-	}
-	// The fabric must be clean for subsequent traffic.
-	if err := f.Transfer(context.Background(), 0, 1, 1e6); err != nil {
-		t.Fatal(err)
-	}
-	if n := f.FlowsCompleted(); n != 2 {
-		t.Fatalf("FlowsCompleted = %d, want 2 (cancelled flows still exit)", n)
-	}
+	// Mid-flight cancellation: a task cancels the context at 2s of virtual
+	// time, and the transfer returns at exactly that instant.
+	k = simtime.NewVirtual()
+	k.Run(func() {
+		f := testFabric(k, 2)
+		ctx, cancel := simtime.WithCancel(k, context.Background())
+		k.Go("canceller", func() {
+			_ = k.Sleep(context.Background(), 2*time.Second)
+			cancel()
+		})
+		if err := f.Transfer(ctx, 0, 1, 1e12); err != context.Canceled {
+			t.Fatalf("cancelled transfer returned %v, want context.Canceled", err)
+		}
+		if now := k.Now(); now != 2*time.Second {
+			t.Fatalf("cancelled transfer returned at %v, want 2s", now)
+		}
+		// The fabric must be clean for subsequent traffic.
+		if err := f.Transfer(context.Background(), 0, 1, 1e6); err != nil {
+			t.Fatal(err)
+		}
+		if n := f.FlowsCompleted(); n != 2 {
+			t.Fatalf("FlowsCompleted = %d, want 2 (cancelled flows still exit)", n)
+		}
+	})
 }
 
 func TestFabricDeterminism(t *testing.T) {
@@ -329,33 +337,48 @@ func TestConservationUnderContention(t *testing.T) {
 	})
 }
 
-// TestRaceHammer exercises concurrent flows, bandwidth churn, and
-// cancellations under the wall-clock runtime; run with -race.
+// TestRaceHammer exercises concurrent flows, bandwidth churn, and a
+// mid-run cancellation; run with -race. The flows and the canceller are
+// kernel tasks; an untracked goroutine churns bandwidth throughout, so the
+// fabric lock is also exercised against a writer outside the kernel.
 func TestRaceHammer(t *testing.T) {
-	r := simtime.NewReal(1e6)
-	f := New(r, Config{Endpoints: 4, Bandwidth: 1e9, Latency: time.Microsecond})
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_ = f.Transfer(ctx, (g+i)%4, (g+i+1+i%3)%4, int64(1e6*(1+i%7)))
-			}
-		}()
-	}
-	wg.Add(1)
+	k := simtime.NewVirtual()
+	f := New(k, Config{Endpoints: 4, Bandwidth: 1e9, Latency: time.Microsecond})
+	stop := make(chan struct{})
+	churned := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for i := 0; i < 30; i++ {
+		defer close(churned)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			f.SetBandwidth(i%4, 1e9/float64(1+i%3))
-			time.Sleep(time.Millisecond)
+			runtime.Gosched()
 		}
 	}()
-	time.AfterFunc(250*time.Millisecond, cancel)
-	wg.Wait()
+	k.Run(func() {
+		ctx, cancel := simtime.WithCancel(k, context.Background())
+		wg := simtime.NewWaitGroup(k)
+		for g := 0; g < 16; g++ {
+			wg.Go("flow", func() {
+				for i := 0; i < 50; i++ {
+					err := f.Transfer(ctx, (g+i)%4, (g+i+1+i%3)%4, int64(1e6*(1+i%7)))
+					if err != nil && err != context.Canceled {
+						t.Errorf("flow %d transfer %d: %v", g, i, err)
+					}
+				}
+			})
+		}
+		wg.Go("canceller", func() {
+			_ = k.Sleep(context.Background(), 500*time.Millisecond)
+			cancel()
+		})
+		_ = wg.Wait(context.Background())
+	})
+	close(stop)
+	<-churned
 	_ = f.BytesMoved()
 }
 

@@ -8,24 +8,25 @@ import (
 )
 
 func BenchmarkUncontendedPutGet(b *testing.B) {
-	rt := simtime.NewReal(1)
-	q := New[int](rt, "bench", 1024)
+	k := simtime.NewVirtual()
+	q := New[int](k, "bench", 1024)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := q.Put(ctx, i); err != nil {
-			b.Fatal(err)
+	k.Run(func() {
+		for i := 0; i < b.N; i++ {
+			if err := q.Put(ctx, i); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := q.Get(ctx); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := q.Get(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
 func BenchmarkTryPutTryGet(b *testing.B) {
-	rt := simtime.NewReal(1)
-	q := New[int](rt, "bench", 1024)
+	q := New[int](simtime.NewVirtual(), "bench", 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -31,7 +31,7 @@ var ErrClosed = errors.New("queue: closed")
 
 // Queue is a bounded blocking FIFO.
 type Queue[T any] struct {
-	rt   simtime.Runtime
+	rt   *simtime.Virtual
 	name string
 	cap  int
 
@@ -67,7 +67,7 @@ type Queue[T any] struct {
 // New returns a queue with the given capacity. Capacity must be positive.
 // The ring buffer is allocated eagerly (rounded up to a power of two), so
 // the queue performs no item-storage allocation after construction.
-func New[T any](rt simtime.Runtime, name string, capacity int) *Queue[T] {
+func New[T any](rt *simtime.Virtual, name string, capacity int) *Queue[T] {
 	if capacity <= 0 {
 		panic("queue: capacity must be positive")
 	}
@@ -387,15 +387,6 @@ func (q *Queue[T]) Disarm(sel *simtime.Selector) {
 	q.mu.Lock()
 	q.getWaiters.remove(sel)
 	q.mu.Unlock()
-}
-
-// WaitAny blocks until one of the sources is ready — for queues, readable or
-// closed — and returns the index of the source that fired (Heartbeat when
-// the heartbeat expired first; pass 0 to disable it). It allocates a
-// throwaway Selector, so it is a convenience for occasional waits; hot loops
-// should hold a Selector and call Select on it directly.
-func WaitAny(ctx context.Context, rt simtime.Runtime, heartbeat time.Duration, sources ...simtime.Source) (int, error) {
-	return simtime.NewSelector(rt).Select(ctx, heartbeat, sources...)
 }
 
 var _ simtime.Source = (*Queue[int])(nil)

@@ -323,8 +323,7 @@ func TestWaitListDropsWokenSelectors(t *testing.T) {
 // TestBlockingOpsAllocationFree: after warm-up, blocking handoffs through
 // the queue must not allocate (pooled selectors, ring-backed waiter lists).
 func TestBlockingOpsAllocationFree(t *testing.T) {
-	rt := simtime.NewReal(1)
-	q := New[int](rt, "q", 4)
+	q := New[int](simtime.NewVirtual(), "q", 4)
 	for i := 0; i < 64; i++ { // warm the selector pool and rings
 		_, _ = q.TryPut(i)
 		_, _, _ = q.TryGet()

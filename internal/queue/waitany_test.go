@@ -35,9 +35,9 @@ func TestWaitAnyWokenByPut(t *testing.T) {
 		q2 := New[int](k, "q2", 4)
 		wg := simtime.NewWaitGroup(k)
 		wg.Go("consumer", func() {
-			idx, err := WaitAny(context.Background(), k, 0, q1, q2)
+			idx, err := simtime.NewSelector(k).Select(context.Background(), 0, q1, q2)
 			if err != nil || idx != 1 {
-				t.Errorf("WaitAny = %d, %v; want 1, nil", idx, err)
+				t.Errorf("Select = %d, %v; want 1, nil", idx, err)
 			}
 			if k.Now() != 30*time.Millisecond {
 				t.Errorf("woke at %v, want exactly 30ms", k.Now())
@@ -58,9 +58,9 @@ func TestWaitAnyPriorityOrder(t *testing.T) {
 		slow := New[int](k, "slow", 4)
 		_ = fast.Put(context.Background(), 1)
 		_ = slow.Put(context.Background(), 2)
-		idx, err := WaitAny(context.Background(), k, 0, fast, slow)
+		idx, err := simtime.NewSelector(k).Select(context.Background(), 0, fast, slow)
 		if err != nil || idx != 0 {
-			t.Fatalf("WaitAny = %d, %v; want the fast queue (0) when both ready", idx, err)
+			t.Fatalf("Select = %d, %v; want the fast queue (0) when both ready", idx, err)
 		}
 	})
 }
@@ -71,9 +71,9 @@ func TestWaitAnyWokenByClose(t *testing.T) {
 		q := New[int](k, "q", 4)
 		wg := simtime.NewWaitGroup(k)
 		wg.Go("consumer", func() {
-			idx, err := WaitAny(context.Background(), k, 0, q)
+			idx, err := simtime.NewSelector(k).Select(context.Background(), 0, q)
 			if err != nil || idx != 0 {
-				t.Errorf("WaitAny = %d, %v; want 0, nil on close", idx, err)
+				t.Errorf("Select = %d, %v; want 0, nil on close", idx, err)
 			}
 			if _, _, err := q.TryGet(); err != ErrClosed {
 				t.Errorf("TryGet after close = %v, want ErrClosed", err)

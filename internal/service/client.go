@@ -47,7 +47,7 @@ type remote struct {
 // safe from any goroutine.
 type Client struct {
 	net   *Net
-	rt    simtime.Runtime
+	rt    *simtime.Virtual
 	ep    int
 	inbox *queue.Queue[Frame]
 	spec  StreamSpec
@@ -364,7 +364,7 @@ func (c *Client) Recv(ctx context.Context) (*data.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if idx == simtime.Heartbeat {
+		if idx == simtime.Expired {
 			c.fireHedge(ctx)
 			continue
 		}

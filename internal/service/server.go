@@ -62,7 +62,7 @@ type ServerConfig struct {
 // endpoint's inbox, plus one pump task per open stream.
 type Server struct {
 	net    *Net
-	rt     simtime.Runtime
+	rt     *simtime.Virtual
 	ep     int
 	cfg    ServerConfig
 	opener Opener
@@ -142,7 +142,7 @@ func (s *Server) Start() {
 
 func (s *Server) goDaemon(name string, fn func()) {
 	s.wg.Add(1)
-	simtime.GoDaemon(s.rt, name, func() {
+	s.rt.GoDaemon(name, func() {
 		defer s.wg.Done()
 		fn()
 	})
@@ -479,7 +479,7 @@ func (s *Server) Close() error {
 	}
 	s.inbox.Close()
 	var err error
-	simtime.Run(s.rt, func() { err = s.wg.Wait(context.Background()) })
+	s.rt.Run(func() { err = s.wg.Wait(context.Background()) })
 	return err
 }
 

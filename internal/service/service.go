@@ -209,7 +209,7 @@ func (c *Config) fill() {
 // per allocated endpoint, and the fleet registry mapping server indices to
 // endpoints (chaos scripts target servers by fleet index).
 type Net struct {
-	rt  simtime.Runtime
+	rt  *simtime.Virtual
 	fab *netsim.Fabric
 	cfg Config
 
@@ -225,7 +225,7 @@ type Net struct {
 }
 
 // NewNet builds a service fabric on rt.
-func NewNet(rt simtime.Runtime, cfg Config) *Net {
+func NewNet(rt *simtime.Virtual, cfg Config) *Net {
 	cfg.fill()
 	return &Net{
 		rt: rt,
@@ -240,7 +240,7 @@ func NewNet(rt simtime.Runtime, cfg Config) *Net {
 }
 
 // Runtime returns the clock the network runs on.
-func (n *Net) Runtime() simtime.Runtime { return n.rt }
+func (n *Net) Runtime() *simtime.Virtual { return n.rt }
 
 // EnableTrace attaches a span recorder to the service network: every
 // delivered frame records a StageFrame span, and the underlying fabric

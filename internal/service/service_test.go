@@ -15,7 +15,7 @@ import (
 // fakeStream is an in-order batch source with a fixed per-batch production
 // cost in virtual time.
 type fakeStream struct {
-	rt        simtime.Runtime
+	rt        *simtime.Virtual
 	pool      *data.Pool
 	total     int
 	batchSize int
@@ -49,7 +49,7 @@ func (f *fakeStream) Close()     { f.closed = true }
 
 // fakeOpener publishes a single stream name ("train") backed by fakeStreams.
 type fakeOpener struct {
-	rt        simtime.Runtime
+	rt        *simtime.Virtual
 	pool      *data.Pool
 	total     int
 	batchSize int

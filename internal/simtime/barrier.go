@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// Barrier is a runtime-aware cyclic barrier for n participants: the n-th
+// Barrier is a kernel-aware cyclic barrier for n participants: the n-th
 // arrival releases everyone and the barrier resets for the next round.
 // Distributed data-parallel training uses it as the per-step gradient
 // synchronization point.
 type Barrier struct {
-	rt        Runtime
+	rt        *Virtual
 	n         int
 	onRelease func(gen uint64)
 
@@ -22,7 +22,7 @@ type Barrier struct {
 }
 
 // NewBarrier returns a barrier for n participants (n must be positive).
-func NewBarrier(rt Runtime, n int) *Barrier {
+func NewBarrier(rt *Virtual, n int) *Barrier {
 	if n <= 0 {
 		panic("simtime: barrier size must be positive")
 	}
@@ -37,7 +37,7 @@ func NewBarrier(rt Runtime, n int) *Barrier {
 // uses to apply membership changes (node crash/rejoin) at a quiescent
 // point. fn receives the generation that completed. It must not call Wait
 // on the same barrier.
-func NewBarrierFunc(rt Runtime, n int, fn func(gen uint64)) *Barrier {
+func NewBarrierFunc(rt *Virtual, n int, fn func(gen uint64)) *Barrier {
 	b := NewBarrier(rt, n)
 	b.onRelease = fn
 	return b

@@ -378,7 +378,7 @@ func (k *Virtual) fireTimersLocked() bool {
 			// claims and cancellations mark its timer dead.
 			s := t.sel
 			s.state.Store(selWoken)
-			s.idx = Heartbeat
+			s.idx = Expired
 			s.t = nil
 			c := s.owner
 			s.owner, c.sel = nil, nil
@@ -415,14 +415,13 @@ type ctxWatch struct {
 }
 
 // WithCancel is context.WithCancel for a context that simulation code
-// cancels itself. Under Virtual, when parent can never be cancelled, the
-// returned cancel also hands the cancellation to the kernel: tasks parked
-// on the context become ready at the cancel call, in park order, and the
-// kernel never polls the context. Otherwise it is context.WithCancel.
-func WithCancel(rt Runtime, parent context.Context) (context.Context, context.CancelFunc) {
+// cancels itself. When parent can never be cancelled, the returned cancel
+// also hands the cancellation to the kernel: tasks parked on the context
+// become ready at the cancel call, in park order, and the kernel never
+// polls the context. Otherwise it is context.WithCancel.
+func WithCancel(k *Virtual, parent context.Context) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(parent)
-	k, ok := rt.(*Virtual)
-	if !ok || parent.Done() != nil {
+	if parent.Done() != nil {
 		return ctx, cancel
 	}
 	done := ctx.Done()

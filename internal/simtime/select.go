@@ -10,14 +10,14 @@ import (
 
 // This file implements the event-driven wait fabric: a Selector parks a task
 // until one of several wake sources fires, replacing sleep-poll loops in the
-// data path. Under Virtual the first source to fire in virtual time claims
-// the selector, which makes wake ordering deterministic; readiness at arm
-// time is checked in source order, so callers encode priorities (fast queue
-// before slow queue) by argument position.
+// data path. The first source to fire in virtual time claims the selector,
+// which makes wake ordering deterministic; readiness at arm time is checked
+// in source order, so callers encode priorities (fast queue before slow
+// queue) by argument position.
 
-// Heartbeat is returned by Selector.Wait/Select when the wait ended because
-// the deadline (the fallback heartbeat) expired rather than a source firing.
-const Heartbeat = -1
+// Expired is returned by Selector.Wait/Select when the wait ended because
+// its deadline expired rather than a source firing.
+const Expired = -1
 
 // Source is a wake source a Selector can be armed on. Queues, gates, and
 // other blocking structures implement it.
@@ -32,34 +32,26 @@ type Source interface {
 	Disarm(s *Selector)
 }
 
-// Selector is a reusable multi-source wait primitive: the runtime-aware
-// analogue of a select statement over wake sources. One goroutine owns a
+// Selector is a reusable multi-source wait primitive: the kernel-aware
+// analogue of a select statement over wake sources. One task owns a
 // Selector; each cycle it Resets, arms the selector on its sources, and
 // parks in Wait. The first TryWake claims the cycle — later TryWake calls
 // return false so the caller passes the wakeup to another waiter instead of
-// losing it.
-//
-// Under Virtual, a positive deadline parks the task on a kernel timer, so
-// timeouts are deterministic virtual-time events. Under Real (and any other
-// nondeterministic runtime) the deadline is a wall-clock timer scaled like
-// Real.Sleep.
+// losing it. A positive deadline parks the task on a kernel timer, so
+// timeouts are deterministic virtual-time events.
 type Selector struct {
-	k     *Virtual // nil on nondeterministic runtimes
-	scale float64  // wall-clock compression for deadline waits when k == nil
+	k *Virtual
 
-	// Under Virtual, claims (TryWake, deadline, cancellation) and Wait
-	// change state under k.mu, so a claim is atomic with readying the
-	// owner; Reset, run by the owner between cycles, is a plain store.
-	// Under Real every transition is a CAS.
+	// Claims (TryWake, deadline, cancellation) and Wait change state under
+	// k.mu, so a claim is atomic with readying the owner; Reset, run by the
+	// owner between cycles, is a plain store.
 	state atomic.Int32
 
-	// Virtual only, guarded by k.mu: the delivered index, the parked owner
-	// task, and the armed deadline.
+	// Guarded by k.mu: the delivered index, the parked owner task, and the
+	// armed deadline.
 	idx   int
 	owner *task
 	t     *timer
-
-	ch chan int // Real only: carries the delivered index
 }
 
 const (
@@ -69,28 +61,9 @@ const (
 	selExpired
 )
 
-// NewSelector returns a selector bound to rt.
-func NewSelector(rt Runtime) *Selector {
-	s := &Selector{scale: 1}
-	if v, ok := rt.(*Virtual); ok {
-		s.k = v
-		return s
-	}
-	s.ch = make(chan int, 1)
-	if r, ok := rt.(*Real); ok {
-		s.scale = r.scale
-	}
-	return s
-}
-
-// Deterministic reports whether rt is the deterministic virtual kernel. The
-// loader hot paths use it to decide whether the fallback heartbeat is worth
-// arming: under Virtual a lost wakeup surfaces as a loud kernel deadlock, so
-// the heartbeat would only add events; under a wall-clock runtime it is the
-// recovery mechanism for a silent hang.
-func Deterministic(rt Runtime) bool {
-	_, ok := rt.(*Virtual)
-	return ok
+// NewSelector returns a selector bound to k.
+func NewSelector(k *Virtual) *Selector {
+	return &Selector{k: k}
 }
 
 // Reset begins a new wait cycle, discarding a wake delivered since the last
@@ -100,26 +73,7 @@ func Deterministic(rt Runtime) bool {
 // not lost). Callers that publish the selector to wakers through their own
 // lock (as Device does) must Reset under that lock so wakes are serialized
 // against the cycle boundary.
-//
-// Under Real the drain must happen BEFORE the state store. Gate.Pulse
-// delivers TryWake outside its lock from a snapshot taken after the
-// subscription was deregistered, so a delayed waker is not serialized with
-// this reset. Draining first means such a waker is either refused (stale
-// pre-reset state) or claims the fresh cycle with its send intact; with the
-// opposite order it could claim the fresh cycle and have its send eaten,
-// leaving state woken with an empty channel — the next Wait would block
-// forever. Under Virtual the delivered index lives in the selector, set
-// under k.mu together with the claim, so there is nothing to drain.
-// (Queues, by contrast, deliver every waiter-entry TryWake — including
-// Close's — while holding the queue lock; their pooled park selectors
-// depend on that in-lock delivery, see queue.parkLocked.)
 func (s *Selector) Reset() {
-	if s.k == nil {
-		select {
-		case <-s.ch:
-		default:
-		}
-	}
 	s.state.Store(selIdle)
 }
 
@@ -128,74 +82,31 @@ func (s *Selector) Reset() {
 // source (or a timeout/cancellation) already claimed the cycle, so the
 // caller should wake someone else instead.
 func (s *Selector) TryWake(idx int) bool {
-	if k := s.k; k != nil {
-		k.mu.Lock()
-		defer k.mu.Unlock()
-		if st := s.state.Load(); st != selIdle && st != selArmed {
-			return false
-		}
-		s.state.Store(selWoken)
-		s.idx = idx
-		if c := s.owner; c != nil {
-			if s.t != nil {
-				s.t.dead = true
-				s.t = nil
-			}
-			s.owner, c.sel = nil, nil
-			k.readyLocked(c)
-		}
-		return true
+	k := s.k
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if st := s.state.Load(); st != selIdle && st != selArmed {
+		return false
 	}
-	for {
-		st := s.state.Load()
-		if st != selIdle && st != selArmed {
-			return false
+	s.state.Store(selWoken)
+	s.idx = idx
+	if c := s.owner; c != nil {
+		if s.t != nil {
+			s.t.dead = true
+			s.t = nil
 		}
-		if s.state.CompareAndSwap(st, selWoken) {
-			s.ch <- idx
-			return true
-		}
+		s.owner, c.sel = nil, nil
+		k.readyLocked(c)
 	}
+	return true
 }
 
 // Wait parks the calling task until TryWake, the deadline (if positive), or
-// ctx cancellation. It returns the index passed to TryWake, or Heartbeat
+// ctx cancellation. It returns the index passed to TryWake, or Expired
 // when the deadline expired. The caller must have Reset the selector for
 // this cycle; sources armed for the cycle must be disarmed by the caller
 // afterwards (Select does both).
 func (s *Selector) Wait(ctx context.Context, deadline time.Duration) (int, error) {
-	if s.k != nil {
-		return s.waitVirtual(ctx, deadline)
-	}
-	if !s.state.CompareAndSwap(selIdle, selArmed) {
-		if s.state.Load() == selWoken {
-			return <-s.ch, nil
-		}
-		return 0, fmt.Errorf("simtime: Selector.Wait without Reset")
-	}
-	var timerC <-chan time.Time
-	if deadline > 0 {
-		tm := time.NewTimer(time.Duration(float64(deadline) / s.scale))
-		defer tm.Stop()
-		timerC = tm.C
-	}
-	select {
-	case idx := <-s.ch:
-		return idx, nil
-	case <-timerC:
-		if s.state.CompareAndSwap(selArmed, selExpired) {
-			return Heartbeat, nil
-		}
-		return <-s.ch, nil // a wake won the race; deliver it
-	case <-ctx.Done():
-		if s.state.CompareAndSwap(selArmed, selExpired) {
-			return 0, ctx.Err()
-		}
-		return <-s.ch, nil
-	}
-}
-
-func (s *Selector) waitVirtual(ctx context.Context, deadline time.Duration) (int, error) {
 	k := s.k
 	k.mu.Lock()
 	switch s.state.Load() {
@@ -232,11 +143,11 @@ func (s *Selector) waitVirtual(ctx context.Context, deadline time.Duration) (int
 }
 
 // Select arms the selector on each source in order, parks until one fires
-// (or the heartbeat expires, or ctx is cancelled), then disarms. It returns
-// the index of the source that fired, or Heartbeat. Readiness is checked in
-// argument order at arm time, so earlier sources take priority when several
-// are ready — deterministic under Virtual.
-func (s *Selector) Select(ctx context.Context, heartbeat time.Duration, sources ...Source) (int, error) {
+// (or the deadline, if positive, expires, or ctx is cancelled), then
+// disarms. It returns the index of the source that fired, or Expired.
+// Readiness is checked in argument order at arm time, so earlier sources
+// take priority when several are ready.
+func (s *Selector) Select(ctx context.Context, deadline time.Duration, sources ...Source) (int, error) {
 	s.Reset()
 	armed := len(sources)
 	for i, src := range sources {
@@ -245,7 +156,7 @@ func (s *Selector) Select(ctx context.Context, heartbeat time.Duration, sources 
 			break
 		}
 	}
-	idx, err := s.Wait(ctx, heartbeat)
+	idx, err := s.Wait(ctx, deadline)
 	for _, src := range sources[:armed] {
 		src.Disarm(s)
 	}
@@ -276,8 +187,8 @@ func NewGate() *Gate {
 }
 
 // gateSeenLimit bounds the per-selector pulse memory: beyond it, Pulse
-// drops the whole map rather than letting transient selectors (e.g.
-// throwaway WaitAny selectors armed on a gate) accumulate forever. A
+// drops the whole map rather than letting the selectors of finished tasks
+// accumulate forever. A
 // dropped entry costs its selector at most one spurious wake at its next
 // Arm — consumers re-check their condition, so that is safe.
 const gateSeenLimit = 1024

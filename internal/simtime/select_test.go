@@ -108,11 +108,11 @@ func TestSelectHeartbeatIsDeterministicUnderVirtual(t *testing.T) {
 		sel := NewSelector(k)
 		start := k.Now()
 		idx, err := sel.Select(context.Background(), 50*time.Millisecond, src)
-		if err != nil || idx != Heartbeat {
-			t.Fatalf("Select = %d, %v; want Heartbeat, nil", idx, err)
+		if err != nil || idx != Expired {
+			t.Fatalf("Select = %d, %v; want Expired, nil", idx, err)
 		}
 		if got := k.Now() - start; got != 50*time.Millisecond {
-			t.Fatalf("heartbeat fired after %v, want exactly 50ms", got)
+			t.Fatalf("deadline expired after %v, want exactly 50ms", got)
 		}
 	})
 }
@@ -197,21 +197,11 @@ func TestSelectorReuseAcrossCycles(t *testing.T) {
 			src.mu.Lock()
 			src.ready = false
 			src.mu.Unlock()
-			if idx, err := sel.Select(context.Background(), 5*time.Millisecond, src); err != nil || idx != Heartbeat {
-				t.Fatalf("cycle %d: heartbeat Select = %d, %v", cycle, idx, err)
+			if idx, err := sel.Select(context.Background(), 5*time.Millisecond, src); err != nil || idx != Expired {
+				t.Fatalf("cycle %d: deadline Select = %d, %v", cycle, idx, err)
 			}
 		}
 	})
-}
-
-func TestSelectorHeartbeatOnRealRuntime(t *testing.T) {
-	r := NewReal(1000) // 1s simulated = 1ms wall
-	sel := NewSelector(r)
-	sel.Reset()
-	idx, err := sel.Wait(context.Background(), time.Second)
-	if err != nil || idx != Heartbeat {
-		t.Fatalf("Wait = %d, %v; want Heartbeat, nil", idx, err)
-	}
 }
 
 func TestGatePulseWakesAllArmed(t *testing.T) {

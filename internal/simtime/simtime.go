@@ -1,13 +1,11 @@
-// Package simtime provides the runtime abstraction that every component of
+// Package simtime provides the clock and scheduler that every component of
 // this repository blocks through: sleeping, queue waits, and device
-// occupancy all go through a Runtime.
+// occupancy all go through the Virtual kernel.
 //
-// Two implementations exist. Virtual is a deterministic discrete-event
-// kernel: virtual time advances only when every tracked task is parked, so a
-// simulated multi-thousand-second training run executes in milliseconds of
-// wall time with exact timing (no OS timer-resolution skew). Real wraps the
-// wall clock with a scale factor and is what a downstream user embeds in an
-// actual application.
+// Virtual is a deterministic discrete-event kernel: virtual time advances
+// only when every tracked task is parked, so a simulated multi-thousand-
+// second training run executes in milliseconds of wall time with exact
+// timing (no OS timer-resolution skew).
 //
 // Virtual runs exactly one tracked task at a time. Each task is a coroutine;
 // a single driver resumes ready tasks in FIFO order and, when none is ready,
@@ -18,9 +16,9 @@
 // program: timers sharing a deadline fire in the order they were set, and
 // woken tasks run in the order they were woken.
 //
-// The entry contract for Virtual: every blocking call must come from a
-// tracked task (one started by Go, GoDaemon, or Run), and it must block
-// through the primitives above. Blocking on ordinary Go primitives
+// The entry contract: every blocking call must come from a tracked task
+// (one started by Go, GoDaemon, or Run), and it must block through the
+// primitives above. Blocking on ordinary Go primitives
 // (unbuffered channels, sync.WaitGroup, ...) from a tracked task stalls the
 // kernel, because no other task runs until the current one parks. Untracked
 // goroutines may spawn tasks (Go, Run), wake parked tasks (Waiter.Wake,
@@ -28,10 +26,9 @@
 // they must not Sleep or Wait on the kernel. Run called from a tracked task
 // runs its function inline.
 //
-// Context cancellation under Virtual is best-effort. A cancel issued by a
-// tracked task is delivered to the tasks parked on that context once the
-// current instant's ready tasks have run, before time advances, so it is
-// deterministic. A cancel from outside the kernel (a wall-clock timeout, a
+// Context cancellation is best-effort. A cancel issued by a tracked task is
+// delivered to the tasks parked on that context once the current instant's
+// ready tasks have run, before time advances, so it is deterministic. A cancel from outside the kernel (a wall-clock timeout, a
 // user's goroutine) lands at whatever instant the kernel has reached when it
 // arrives. Simulation code therefore coordinates shutdown through
 // kernel-visible events — queue Close, stop flags checked at operation
@@ -46,35 +43,14 @@ import (
 	"time"
 )
 
-// Runtime is the clock and scheduler abstraction used by all pipeline
-// components.
-type Runtime interface {
-	// Now returns the elapsed (virtual or scaled real) time since the
-	// runtime was created.
-	Now() time.Duration
-	// Sleep pauses the calling task for d of simulated time, or until ctx
-	// is done, whichever comes first. It returns ctx.Err() when interrupted.
-	Sleep(ctx context.Context, d time.Duration) error
-	// Go spawns a tracked task. Under Virtual, time cannot advance while
-	// any tracked task is runnable.
-	Go(name string, fn func())
-	// NewWaiter returns a parking primitive for building blocking
-	// structures (queues, semaphores) on top of the runtime.
-	NewWaiter() *Waiter
-}
-
 // Waiter is a one-shot parking primitive. A task calls Wait to park; another
 // task calls Wake to unpark it. A Waiter may be woken before Wait is called,
 // in which case Wait returns immediately. Waiters are not reusable.
 type Waiter struct {
-	// Under Virtual, state and owner are guarded by k.mu. Under Real,
-	// state is guarded by mu and ch is closed on wake.
+	// state and owner are guarded by k.mu.
 	k     *Virtual
-	owner *task // the parked task (Virtual)
+	owner *task // the parked task
 	state waitState
-
-	mu sync.Mutex
-	ch chan struct{}
 }
 
 type waitState int
@@ -90,28 +66,17 @@ const (
 // false means the waiter had already been cancelled (its Wait returned with
 // a context error), so the caller should wake someone else instead.
 func (w *Waiter) Wake() bool {
-	if k := w.k; k != nil {
-		k.mu.Lock()
-		defer k.mu.Unlock()
-		switch w.state {
-		case waitIdle:
-			w.state = waitWoken
-		case waitWaiting:
-			w.state = waitWoken
-			c := w.owner
-			w.owner, c.waiter = nil, nil
-			k.readyLocked(c)
-		case waitCancelled:
-			return false
-		}
-		return true
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	k := w.k
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	switch w.state {
-	case waitIdle, waitWaiting:
+	case waitIdle:
 		w.state = waitWoken
-		close(w.ch)
+	case waitWaiting:
+		w.state = waitWoken
+		c := w.owner
+		w.owner, c.waiter = nil, nil
+		k.readyLocked(c)
 	case waitCancelled:
 		return false
 	}
@@ -120,55 +85,27 @@ func (w *Waiter) Wake() bool {
 
 // Wait parks the calling task until Wake or ctx cancellation.
 func (w *Waiter) Wait(ctx context.Context) error {
-	if k := w.k; k != nil {
-		k.mu.Lock()
-		switch w.state {
-		case waitWoken:
-			k.mu.Unlock()
-			return nil
-		case waitIdle:
-		default:
-			k.mu.Unlock()
-			return fmt.Errorf("simtime: Wait called twice on the same Waiter")
-		}
-		done := ctx.Done()
-		if isDone(done) {
-			w.state = waitCancelled
-			k.mu.Unlock()
-			return ctx.Err()
-		}
-		c := k.currentLocked()
-		w.state = waitWaiting
-		w.owner, c.waiter = c, w
-		return k.parkLocked(c, ctx, done)
-	}
-
-	w.mu.Lock()
+	k := w.k
+	k.mu.Lock()
 	switch w.state {
 	case waitWoken:
-		w.mu.Unlock()
+		k.mu.Unlock()
 		return nil
 	case waitIdle:
-		w.state = waitWaiting
 	default:
-		w.mu.Unlock()
+		k.mu.Unlock()
 		return fmt.Errorf("simtime: Wait called twice on the same Waiter")
 	}
-	w.mu.Unlock()
-	select {
-	case <-w.ch:
-		return nil
-	case <-ctx.Done():
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.state == waitWoken {
-			// Wake raced with cancellation and won; treat as woken so the
-			// wakeup is not lost.
-			return nil
-		}
+	done := ctx.Done()
+	if isDone(done) {
 		w.state = waitCancelled
+		k.mu.Unlock()
 		return ctx.Err()
 	}
+	c := k.currentLocked()
+	w.state = waitWaiting
+	w.owner, c.waiter = c, w
+	return k.parkLocked(c, ctx, done)
 }
 
 // isDone reports whether a context's Done channel is closed, without
@@ -184,10 +121,6 @@ func isDone(done <-chan struct{}) bool {
 		return false
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Virtual runtime
-// ---------------------------------------------------------------------------
 
 // Virtual is a deterministic discrete-event runtime. Tasks run one at a
 // time; time advances to the earliest pending timer whenever no task is
@@ -273,29 +206,6 @@ func (k *Virtual) GoDaemon(name string, fn func()) {
 	k.spawn(fn, true)
 }
 
-// GoDaemon spawns fn as a daemon task when rt is the Virtual kernel (see
-// Virtual.GoDaemon) and as an ordinary task otherwise — wall-clock
-// runtimes have no deadlock detection to exempt a server task from.
-func GoDaemon(rt Runtime, name string, fn func()) {
-	if v, ok := rt.(*Virtual); ok {
-		v.GoDaemon(name, fn)
-		return
-	}
-	rt.Go(name, fn)
-}
-
-// Run executes fn as a tracked task of rt when rt is the Virtual kernel
-// (see Virtual.Run: inline when the caller already is one of its tasks),
-// and directly otherwise. It is how code reachable from an untracked
-// goroutine — a Close called by the user, say — waits on the kernel.
-func Run(rt Runtime, fn func()) {
-	if v, ok := rt.(*Virtual); ok {
-		v.Run(fn)
-		return
-	}
-	fn()
-}
-
 // Run executes fn as a tracked task and blocks the (untracked) caller until
 // it returns. It is the entry point for driving a simulation from a test or
 // a main function. Called from a tracked task, Run simply calls fn: the
@@ -362,63 +272,3 @@ type atomicDuration struct{ v atomic.Int64 }
 
 func (d *atomicDuration) Load() time.Duration   { return time.Duration(d.v.Load()) }
 func (d *atomicDuration) Store(t time.Duration) { d.v.Store(int64(t)) }
-
-// ---------------------------------------------------------------------------
-// Real runtime
-// ---------------------------------------------------------------------------
-
-// Real is a wall-clock runtime. Scale compresses simulated time: with
-// Scale=100, a simulated second passes in 10ms of wall time. Scale=1 is
-// real time.
-type Real struct {
-	start time.Time
-	scale float64
-}
-
-// NewReal returns a wall-clock runtime with the given compression factor.
-// scale values below 1 are clamped to 1.
-func NewReal(scale float64) *Real {
-	if scale < 1 {
-		scale = 1
-	}
-	return &Real{start: time.Now(), scale: scale}
-}
-
-// Now returns scaled elapsed wall time.
-func (r *Real) Now() time.Duration {
-	return time.Duration(float64(time.Since(r.start)) * r.scale)
-}
-
-// Sleep pauses for d of simulated time (d/scale of wall time).
-func (r *Real) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(time.Duration(float64(d) / r.scale))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Go spawns fn as an ordinary goroutine.
-func (r *Real) Go(name string, fn func()) {
-	_ = name
-	go fn()
-}
-
-// NewWaiter returns a channel-backed parking primitive.
-func (r *Real) NewWaiter() *Waiter {
-	return &Waiter{ch: make(chan struct{})}
-}
-
-var (
-	_ Runtime = (*Virtual)(nil)
-	_ Runtime = (*Real)(nil)
-)

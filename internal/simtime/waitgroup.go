@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// WaitGroup is a runtime-aware counterpart of sync.WaitGroup. Tracked tasks
-// under the Virtual runtime must not block on sync.WaitGroup (the kernel
-// would believe them runnable); they use this type instead.
+// WaitGroup is a kernel-aware counterpart of sync.WaitGroup. Tracked tasks
+// must not block on sync.WaitGroup (no other task runs until the caller
+// parks); they use this type instead.
 type WaitGroup struct {
-	rt Runtime
+	rt *Virtual
 
 	mu      sync.Mutex
 	n       int
@@ -17,7 +17,7 @@ type WaitGroup struct {
 }
 
 // NewWaitGroup returns a WaitGroup bound to rt.
-func NewWaitGroup(rt Runtime) *WaitGroup {
+func NewWaitGroup(rt *Virtual) *WaitGroup {
 	return &WaitGroup{rt: rt}
 }
 

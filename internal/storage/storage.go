@@ -24,7 +24,7 @@ import (
 // (Lustre-like filesystems serve several clients at once; an NVMe drive
 // saturates with few).
 type Disk struct {
-	rt       simtime.Runtime
+	rt       *simtime.Virtual
 	dev      *device.Device
 	streamBW float64 // bytes per second per stream
 
@@ -49,7 +49,7 @@ type slowdownPoint struct {
 
 // NewDisk returns a disk with the given aggregate bandwidth split across
 // `parallelism` full-speed streams.
-func NewDisk(rt simtime.Runtime, name string, aggregateBW float64, parallelism float64) *Disk {
+func NewDisk(rt *simtime.Virtual, name string, aggregateBW float64, parallelism float64) *Disk {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -129,7 +129,7 @@ func (d *Disk) AggregateBandwidth() float64 {
 
 // ReadRateGauge returns a sampling function reporting read throughput in
 // bytes/second over the window since the previous call.
-func (d *Disk) ReadRateGauge(rt simtime.Runtime) func() float64 {
+func (d *Disk) ReadRateGauge(rt *simtime.Virtual) func() float64 {
 	last := d.BytesRead()
 	lastT := rt.Now()
 	return func() float64 {
@@ -406,7 +406,7 @@ func (c *PageCache) Put(key data.Key, bytes int64) { c.PutAs(0, key, bytes) }
 // fetched parks the caller as a follower (waiter non-nil — Wait on it,
 // then call GetOrBegin again). Followers are attributed a hit when they
 // find the completed fetch on re-check; only the leader pays a miss.
-func (c *PageCache) GetOrBegin(tenant int, key data.Key, rt simtime.Runtime) (hit bool, waiter *simtime.Waiter) {
+func (c *PageCache) GetOrBegin(tenant int, key data.Key, rt *simtime.Virtual) (hit bool, waiter *simtime.Waiter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n, ok := c.index[key]; ok {
@@ -626,7 +626,7 @@ func (st *Store) WithTenant(id int) *Store {
 // readers of the same key — typically sibling sessions warming up over a
 // shared dataset — park until the fetch lands and then count a shared hit,
 // instead of issuing redundant reads for bytes already on their way.
-func (st *Store) ReadSample(ctx context.Context, rt simtime.Runtime, s *data.Sample) error {
+func (st *Store) ReadSample(ctx context.Context, rt *simtime.Virtual, s *data.Sample) error {
 	if st.Cache == nil {
 		if err := st.fetch(ctx, rt, s); err != nil {
 			return err
@@ -676,7 +676,7 @@ func (st *Store) span(stage trace.Stage, start, end time.Duration, s *data.Sampl
 
 // fetch is the uncached read path: the disk occupancy, then — for remote
 // storage — the network transfer to the reading node.
-func (st *Store) fetch(ctx context.Context, rt simtime.Runtime, s *data.Sample) error {
+func (st *Store) fetch(ctx context.Context, rt *simtime.Virtual, s *data.Sample) error {
 	t0 := rt.Now()
 	if err := st.Disk.Read(ctx, s.RawBytes); err != nil {
 		return err

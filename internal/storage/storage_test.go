@@ -181,7 +181,7 @@ func TestQuickCacheCapacityInvariant(t *testing.T) {
 // sleepFetcher models the network leg of a remote store: each fetched byte
 // costs time at a fixed bandwidth.
 type sleepFetcher struct {
-	rt    simtime.Runtime
+	rt    *simtime.Virtual
 	bw    float64
 	bytes int64
 }

@@ -7,7 +7,7 @@
 // # Determinism
 //
 // A span's fields are pure functions of the simulation: start and end come
-// from simtime.Runtime.Now(), and the identity fields (stage, tenant,
+// from simtime.Virtual.Now(), and the identity fields (stage, tenant,
 // node, key, seq) come from the simulated entities themselves — never from
 // allocation order, goroutine identity, or a shared counter. Tasks reach
 // the recorder's mutex in OS-scheduling order, so the *append order* of

@@ -24,7 +24,7 @@ const copyBandwidth = 16e9
 // leaves Sync nil; a multi-node job plugs its barriers and all-reduce in
 // there. One Step serves all consumers of a machine: Run once per GPU.
 type Step struct {
-	RT   simtime.Runtime
+	RT   *simtime.Virtual
 	W    workload.Workload
 	GPUs []*gpu.GPU
 	// PerEpoch is each consumer's batches per epoch: with a

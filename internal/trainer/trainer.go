@@ -233,7 +233,7 @@ func (r *Report) AvgSlowProportion() float64 {
 
 // Run executes one training session on an existing testbed. It must be
 // called from a task tracked by the runtime (e.g. inside Virtual.Run).
-func Run(rt simtime.Runtime, tb *hardware.Testbed, w workload.Workload, f Factory, p Params) (*Report, error) {
+func Run(rt *simtime.Virtual, tb *hardware.Testbed, w workload.Workload, f Factory, p Params) (*Report, error) {
 	env := &loader.Env{RT: rt, CPU: tb.CPU, GPUs: tb.GPUs, Store: tb.Store,
 		WG: simtime.NewWaitGroup(rt), Pool: data.NewPool()}
 	return RunEnv(env, tb.Disk, tb.Cache, w, f, p)
@@ -472,7 +472,7 @@ func Simulate(cfg hardware.Config, w workload.Workload, f Factory, p Params) (*R
 // (minato.Session.Batches) drive it from the facade through
 // StartChaos/Gate/NoteStep/Stop/Finish.
 type ChaosState struct {
-	rt     simtime.Runtime
+	rt     *simtime.Virtual
 	cpu    *device.Device
 	wg     *simtime.WaitGroup
 	node   int // the session's trace node: every fault window's key
@@ -494,7 +494,7 @@ type ChaosState struct {
 // The script must already be validated for a single-machine run
 // (Script.Validate(0)); gpus sizes the per-consumer step-interval
 // tracking.
-func StartChaos(rt simtime.Runtime, env *loader.Env, disk *storage.Disk, wg *simtime.WaitGroup, script chaos.Script, gpus int) *ChaosState {
+func StartChaos(rt *simtime.Virtual, env *loader.Env, disk *storage.Disk, wg *simtime.WaitGroup, script chaos.Script, gpus int) *ChaosState {
 	c := &ChaosState{
 		rt: rt, cpu: env.CPU, wg: wg, node: int(env.TraceNode),
 		hist: stats.NewLogHist(), lastStep: make([]time.Duration, gpus),

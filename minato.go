@@ -142,8 +142,9 @@ type (
 	PoolStats = data.PoolStats
 	// Testbed is an instantiated simulated machine.
 	Testbed = hardware.Testbed
-	// Runtime is the virtual/real time abstraction.
-	Runtime = simtime.Runtime
+	// Runtime is the deterministic virtual-time kernel every session runs
+	// on.
+	Runtime = *simtime.Virtual
 )
 
 // DefaultConfig returns the paper's MinatoLoader configuration (§5.1).
@@ -161,10 +162,6 @@ func NewPipeline(name string, ts ...Transform) *Pipeline { return transform.NewP
 // NewVirtualRuntime returns the deterministic discrete-event runtime used
 // by experiments: simulated time advances only when all tasks are parked.
 func NewVirtualRuntime() *simtime.Virtual { return simtime.NewVirtual() }
-
-// NewRealRuntime returns a wall-clock runtime with the given time
-// compression (1 = real time).
-func NewRealRuntime(scale float64) *simtime.Real { return simtime.NewReal(scale) }
 
 // NewTestbed instantiates the devices for a hardware config.
 func NewTestbed(rt Runtime, cfg HardwareConfig) *Testbed { return hardware.NewTestbed(rt, cfg) }

@@ -404,7 +404,7 @@ func (a *ServerAddr) Close() error {
 	eng := a.eng
 	a.engMu.Unlock()
 	eng.Stop()
-	simtime.Run(a.rt, func() {
+	a.rt.Run(func() {
 		_ = a.wg.Wait(context.Background())
 		a.srv.Close()
 	})
@@ -657,7 +657,7 @@ func Dial(addr *ServerAddr, opts ...DialOption) (*RemoteSession, error) {
 	rs := &RemoteSession{addr: addr, rt: addr.rt, stream: o.stream, retain: o.retain}
 	var cli *service.Client
 	var err error
-	simtime.Run(addr.rt, func() {
+	addr.rt.Run(func() {
 		cli, err = service.Open(context.Background(), addr.sn.net, addr.ep, replicaEP, spec, cfg)
 	})
 	if err != nil {
@@ -706,7 +706,7 @@ func (s *RemoteSession) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 			yield(nil, ErrSessionConsumed)
 			return
 		}
-		simtime.Run(s.rt, func() {
+		s.rt.Run(func() {
 			if err := ctx.Err(); err != nil {
 				s.err = err
 				yield(nil, err)
@@ -757,7 +757,7 @@ func (s *RemoteSession) Stats() RemoteStats { return s.cli.Stats() }
 func (s *RemoteSession) Close() (*Report, error) {
 	s.state.Store(sessionClosed)
 	if s.closed.CompareAndSwap(false, true) {
-		simtime.Run(s.rt, func() { _ = s.cli.Close(context.Background()) })
+		s.rt.Run(func() { _ = s.cli.Close(context.Background()) })
 	}
 	cs := s.cli.Stats()
 	rep := &Report{
@@ -782,8 +782,8 @@ func (s *RemoteSession) Close() (*Report, error) {
 // — the N-tenants × one-machine and N-trainers × one-fleet topologies.
 // (Consumers started from separate goroutines instead join the kernel in
 // wall-clock order, so their interleaving, and with it their reports, can
-// differ from run to run.) Sessions that do not all share one virtual
-// runtime — or run on a real one — get plain goroutines instead.
+// differ from run to run.) Sessions that do not all share one kernel get
+// plain goroutines instead; each such session is deterministic on its own.
 func StreamAll[S interface{ *Session | *RemoteSession }](ctx context.Context, sessions []S, fn func(i int, s S)) {
 	if len(sessions) == 0 {
 		return
@@ -794,11 +794,12 @@ func StreamAll[S interface{ *Session | *RemoteSession }](ctx context.Context, se
 		}
 		return any(s).(*RemoteSession).rt
 	}
-	v, ok := rtOf(sessions[0]).(*simtime.Virtual)
+	v := rtOf(sessions[0])
+	shared := true
 	for _, s := range sessions {
-		ok = ok && rtOf(s) == Runtime(v)
+		shared = shared && rtOf(s) == v
 	}
-	if ok {
+	if shared {
 		v.Run(func() {
 			wg := simtime.NewWaitGroup(v)
 			for i, s := range sessions {

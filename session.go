@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/minatoloader/minato/internal/loaders"
-	"github.com/minatoloader/minato/internal/simtime"
 	"github.com/minatoloader/minato/internal/trace"
 	"github.com/minatoloader/minato/internal/trainer"
 	"github.com/minatoloader/minato/internal/workload"
@@ -150,9 +149,9 @@ func WithGPUs(n int) SharedOption {
 	}
 }
 
-// WithRuntime runs on an existing runtime — e.g. NewRealRuntime to stream
-// against the wall clock, or a shared virtual kernel. Cluster-level; the
-// default is a fresh deterministic virtual runtime per cluster.
+// WithRuntime runs on an existing virtual kernel — e.g. a ServiceNet's, so
+// the cluster and the fabric share one clock. Cluster-level; the default
+// is a fresh kernel per cluster.
 func WithRuntime(rt Runtime) SharedOption {
 	return sharedOption{
 		session: func(o *sessionOptions) { o.rt = rt },
@@ -337,7 +336,7 @@ const (
 
 // Session is one data-loading run: a dataset flowing through a
 // preprocessing pipeline into batches, delivered by a pluggable loader
-// backend over a simulated (or real) runtime.
+// backend over the simulated runtime.
 //
 // Lifecycle: Open (or Cluster.Open) configures and wires the session,
 // Batches streams the configured batch budget exactly once, Close tears
@@ -469,7 +468,7 @@ func (s *Session) Batches(ctx context.Context) iter.Seq2[*Batch, error] {
 			yield(nil, ErrSessionConsumed)
 			return
 		}
-		simtime.Run(s.rt, func() {
+		s.rt.Run(func() {
 			if err := ctx.Err(); err != nil {
 				s.err = err
 				yield(nil, err)
