@@ -1,7 +1,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"iter"
@@ -17,7 +16,7 @@ import (
 //
 //  1. resume the head of the ready FIFO until it parks or finishes;
 //  2. when nothing is ready, deliver pending context cancellations, then
-//     pop the earliest timer batch and advance the clock to it;
+//     advance the clock to the earliest deadline and ready its tasks;
 //  3. with nothing ready and no timers, exit when the kernel is empty or
 //     only daemons are parked, and otherwise wait for a wake from outside
 //     the kernel, declaring a deadlock if none arrives.
@@ -60,9 +59,11 @@ type task struct {
 
 	rnext *task // ready FIFO link
 
-	// What the parked task waits on (at most one is set), and the
-	// cancellation watch it is registered with.
-	sleep        *timer
+	// What the parked task waits on (a deadline alone is a Sleep; a
+	// deadline with sel is a Selector's expiry), and the cancellation watch
+	// it is registered with. tidx is the task's slot in the timer heap, or
+	// -1 when it has no pending deadline.
+	tidx         int
 	waiter       *Waiter
 	sel          *Selector
 	watch        *ctxWatch
@@ -73,7 +74,7 @@ type task struct {
 }
 
 func newTask(k *Virtual) *task {
-	c := &task{k: k}
+	c := &task{k: k, tidx: -1}
 	c.next, c.stop = iter.Pull(c.loop)
 	return c
 }
@@ -199,11 +200,15 @@ func (k *Virtual) popReadyLocked() {
 	c.rnext = nil
 }
 
-// readyLocked appends c to the ready FIFO and makes sure a driver will run
-// it. The caller has already cleared c's wait state.
+// readyLocked withdraws c from its cancellation watch and its pending
+// deadline, appends it to the ready FIFO, and makes sure a driver will run
+// it. The caller has already cleared c's other wait state.
 func (k *Virtual) readyLocked(c *task) {
 	if c.watch != nil {
 		c.watch.remove(c)
+	}
+	if c.tidx >= 0 {
+		k.timers.remove(c.tidx)
 	}
 	if k.readyTail == nil {
 		k.readyHead = c
@@ -351,45 +356,24 @@ func (k *Virtual) awaitExternalLocked() {
 	k.extWait = false
 }
 
-// fireTimersLocked pops the earliest deadline's timer batch, advances the
-// clock to it when the batch holds a live timer, and readies the owners in
-// the order their timers were set. It reports whether a batch was popped.
+// fireTimersLocked advances the clock to the earliest pending deadline and
+// readies every task waiting on it, in the order the deadlines were set. It
+// reports whether there was a deadline to fire. Claims and cancellations
+// withdraw a deadline at once, so every deadline in the heap is live.
 func (k *Virtual) fireTimersLocked() bool {
 	if len(k.timers) == 0 {
 		return false
 	}
-	head := heap.Pop(&k.timers).(*timer)
-	delete(k.byDeadline, head.deadline)
-	// Advance time only when the batch has a live timer, so deadlines
-	// abandoned by cancelled sleeps and claimed selectors never move the
-	// clock.
-	for t := head; t != nil; t = t.next {
-		if !t.dead {
-			k.now.Store(head.deadline)
-			break
-		}
-	}
-	for t := head; t != nil; {
-		next := t.next
-		switch {
-		case t.dead:
-		case t.sel != nil:
-			// A live selector timer means the selector is still parked:
-			// claims and cancellations mark its timer dead.
-			s := t.sel
+	at := k.timers[0].at
+	k.now.Store(at)
+	for len(k.timers) > 0 && k.timers[0].at == at {
+		c := k.timers.pop()
+		if s := c.sel; s != nil {
 			s.state.Store(selWoken)
 			s.idx = Expired
-			s.t = nil
-			c := s.owner
 			s.owner, c.sel = nil, nil
-			k.readyLocked(c)
-		default:
-			c := t.owner
-			c.sleep = nil
-			k.readyLocked(c)
 		}
-		putTimer(t)
-		t = next
+		k.readyLocked(c)
 	}
 	return true
 }
@@ -528,14 +512,9 @@ func (k *Virtual) cancelWatchLocked(w *ctxWatch) {
 }
 
 // cancelParkLocked withdraws c from whatever it is parked on and readies it
-// with err as the park's result.
+// with err as the park's result; readyLocked drops its deadline, if any.
 func (k *Virtual) cancelParkLocked(c *task, err error) {
 	switch {
-	case c.sleep != nil:
-		// The kernel still owns the timer; it is recycled when its
-		// deadline is reached.
-		c.sleep.dead = true
-		c.sleep = nil
 	case c.waiter != nil:
 		w := c.waiter
 		w.state = waitCancelled
@@ -543,10 +522,6 @@ func (k *Virtual) cancelParkLocked(c *task, err error) {
 	case c.sel != nil:
 		s := c.sel
 		s.state.Store(selExpired)
-		if s.t != nil {
-			s.t.dead = true
-			s.t = nil
-		}
 		s.owner, c.sel = nil, nil
 	}
 	c.err = err
@@ -557,59 +532,92 @@ func (k *Virtual) cancelParkLocked(c *task, err error) {
 // Timers
 // ---------------------------------------------------------------------------
 
-// timer is a pending kernel deadline: a sleeping task's wake (owner) or a
-// selector's deadline park (sel). next/tail chain timers that share a
-// deadline off the single heap node.
-type timer struct {
-	deadline time.Duration
-	owner    *task
-	sel      *Selector
-	dead     bool
-	next     *timer
-	tail     *timer
+// scheduleLocked gives the parked task c a deadline. A task has at most one:
+// a Sleep's wake or a Selector's expiry.
+func (k *Virtual) scheduleLocked(c *task, at time.Duration) {
+	k.timerSeq++
+	k.timers.push(timerEntry{at: at, seq: k.timerSeq, c: c})
 }
 
-// timerPool recycles timers across sleeps and kernels: the kernel fast
-// path allocates nothing in steady state.
-var timerPool = sync.Pool{New: func() any { return new(timer) }}
-
-func getTimer() *timer { return timerPool.Get().(*timer) }
-
-func putTimer(t *timer) {
-	*t = timer{}
-	timerPool.Put(t)
+// timerEntry is one pending deadline. seq, taken from a per-kernel counter
+// when the deadline is set, breaks ties so that deadlines sharing an instant
+// fire in the order they were set.
+type timerEntry struct {
+	at  time.Duration
+	seq uint64
+	c   *task
 }
 
-// scheduleLocked registers t to fire at the given deadline. Timers sharing a
-// deadline chain off the first one scheduled (the only one in the heap), in
-// FIFO order, so same-deadline batches cost one heap operation total.
-func (k *Virtual) scheduleLocked(t *timer, deadline time.Duration) {
-	t.deadline = deadline
-	if head, ok := k.byDeadline[deadline]; ok {
-		if head.tail == nil {
-			head.next, head.tail = t, t
-		} else {
-			head.tail.next, head.tail = t, t
-		}
-		return
-	}
-	heap.Push(&k.timers, t)
-	k.byDeadline[deadline] = t
+func (e *timerEntry) before(o *timerEntry) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
-// timerHeap orders heap nodes by deadline. Deadlines are unique in the heap
-// (same-deadline timers chain off one node), so no tiebreak is needed.
-type timerHeap []*timer
+// timerHeap is a binary min-heap of pending deadlines ordered by (at, seq).
+// Every move keeps the owning task's tidx equal to its slot, so a claimed or
+// cancelled deadline is removed in O(log n) the moment it is withdrawn.
+type timerHeap []timerEntry
 
-func (h timerHeap) Len() int           { return len(h) }
-func (h timerHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
-func (h timerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)        { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() any {
+func (h *timerHeap) push(e timerEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+// pop removes the earliest deadline and returns its task.
+func (h *timerHeap) pop() *task { return h.remove(0) }
+
+// remove deletes the deadline in slot i and returns its task, whose tidx
+// becomes -1.
+func (h *timerHeap) remove(i int) *task {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+	c := old[i].c
+	n := len(old) - 1
+	if i != n {
+		old[i] = old[n]
+	}
+	old[n] = timerEntry{}
+	*h = old[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
+	c.tidx = -1
+	return c
+}
+
+func (h timerHeap) up(i int) {
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].c.tidx = i
+		i = p
+	}
+	h[i] = e
+	e.c.tidx = i
+}
+
+// down sifts slot i towards the leaves and reports whether it moved.
+func (h timerHeap) down(i int) bool {
+	e := h[i]
+	start, n := i, len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].before(&h[j]) {
+			j = r
+		}
+		if !h[j].before(&e) {
+			break
+		}
+		h[i] = h[j]
+		h[i].c.tidx = i
+		i = j
+	}
+	h[i] = e
+	e.c.tidx = i
+	return i > start
 }

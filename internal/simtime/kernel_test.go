@@ -4,11 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
+
+// pendingDeadlines returns how many deadlines the kernel's timer heap holds.
+func pendingDeadlines(k *Virtual) int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.timers)
+}
 
 // TestSameDeadlineSleepersResumeInSetOrder: timers sharing a deadline fire
 // in the order they were set, so sleepers that keep re-arming the same
@@ -314,6 +323,146 @@ func TestWithCancelReadiesAtCancelCall(t *testing.T) {
 			want := []string{"parked context canceled @1s", "woken @1s"}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("run order = %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
+// TestTimerFireOrderUnderChurn: with ties common, some deadlines claimed by
+// a peer and some withdrawn by a cancel, the deadlines that do fire resume
+// their tasks in (deadline, set order); a withdrawn deadline never wakes its
+// task or moves the clock; and the heap is empty once the run is over.
+func TestTimerFireOrderUnderChurn(t *testing.T) {
+	const tasks, rounds = 500, 4
+	type deadline struct {
+		at  time.Duration
+		seq int
+	}
+	k := NewVirtual()
+	rng := rand.New(rand.NewPCG(1, 2))
+	var (
+		seq   int
+		fired []deadline // in resume order
+		last  time.Duration
+	)
+	set := func(d time.Duration) deadline {
+		seq++
+		return deadline{k.Now() + d, seq}
+	}
+	// sleep is a Sleep whose deadline fires; it logs the resume.
+	sleep := func(d time.Duration) {
+		dl := set(d)
+		_ = k.Sleep(context.Background(), d)
+		if k.Now() != dl.at {
+			t.Errorf("sleep set for %v resumed at %v", dl.at, k.Now())
+		}
+		fired = append(fired, dl)
+		last = max(last, dl.at)
+	}
+	k.Run(func() {
+		wg := NewWaitGroup(k)
+		for range tasks {
+			wg.Go("churner", func() {
+				sel := NewSelector(k)
+				for range rounds {
+					// Deadlines from a small set, so ties are common; a
+					// withdrawal lands strictly before the deadline.
+					d := time.Duration(1+rng.IntN(4)) * time.Millisecond
+					early := time.Duration(1+rng.IntN(int(d/time.Microsecond)-1)) * time.Microsecond
+					switch rng.IntN(3) {
+					case 0:
+						sleep(d)
+					case 1:
+						sel.Reset()
+						wg.Go("claimer", func() {
+							sleep(early)
+							sel.TryWake(0)
+						})
+						start, dl := k.Now(), set(d)
+						if idx, err := sel.Wait(context.Background(), d); idx != 0 || err != nil {
+							t.Errorf("claimed selector (deadline %v) = %d, %v; want 0, nil", dl.at, idx, err)
+						}
+						if k.Now() != start+early {
+							t.Errorf("claimed selector resumed at %v, want the claim at %v", k.Now(), start+early)
+						}
+					case 2:
+						ctx, cancel := WithCancel(k, context.Background())
+						wg.Go("canceller", func() {
+							sleep(early)
+							cancel()
+						})
+						start, dl := k.Now(), set(d)
+						if err := k.Sleep(ctx, d); !errors.Is(err, context.Canceled) {
+							t.Errorf("cancelled sleep (deadline %v) = %v, want Canceled", dl.at, err)
+						}
+						if k.Now() != start+early {
+							t.Errorf("cancelled sleep resumed at %v, want the cancel at %v", k.Now(), start+early)
+						}
+					}
+				}
+			})
+		}
+		_ = wg.Wait(context.Background())
+	})
+	if !slices.IsSortedFunc(fired, func(a, b deadline) int {
+		if a.at != b.at {
+			return int(a.at - b.at)
+		}
+		return a.seq - b.seq
+	}) {
+		t.Error("fired deadlines did not resume in (deadline, set order)")
+	}
+	if k.Now() != last {
+		t.Errorf("Now() = %v after the run, want the last fired deadline %v", k.Now(), last)
+	}
+	if n := pendingDeadlines(k); n != 0 {
+		t.Errorf("timer heap holds %d deadlines after the run, want 0", n)
+	}
+}
+
+// TestClaimedDeadlineDoesNotMoveClock: a deadline withdrawn before it is
+// reached leaves the heap at once, so the run ends at the withdrawal, not
+// at the abandoned deadline.
+func TestClaimedDeadlineDoesNotMoveClock(t *testing.T) {
+	withdrawn := map[string]func(k *Virtual) error{
+		"Selector": func(k *Virtual) error {
+			src := &fakeSource{}
+			k.Go("claimer", func() {
+				_ = k.Sleep(context.Background(), 10*time.Millisecond)
+				src.fire()
+			})
+			idx, err := NewSelector(k).Select(context.Background(), time.Second, src)
+			if err == nil && idx != 0 {
+				err = fmt.Errorf("Select = %d, want 0", idx)
+			}
+			return err
+		},
+		"Sleep": func(k *Virtual) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			k.Go("canceller", func() {
+				_ = k.Sleep(context.Background(), 10*time.Millisecond)
+				cancel()
+			})
+			if err := k.Sleep(ctx, time.Second); !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("Sleep = %v, want Canceled", err)
+			}
+			return nil
+		},
+	}
+	for name, park := range withdrawn {
+		t.Run(name, func(t *testing.T) {
+			k := NewVirtual()
+			var err error
+			k.Run(func() { err = park(k) })
+			k.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.Now() != 10*time.Millisecond {
+				t.Fatalf("Now() = %v after the run, want 10ms", k.Now())
+			}
+			if n := pendingDeadlines(k); n != 0 {
+				t.Fatalf("timer heap holds %d deadlines after the run, want 0", n)
 			}
 		})
 	}

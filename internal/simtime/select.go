@@ -47,11 +47,10 @@ type Selector struct {
 	// owner between cycles, is a plain store.
 	state atomic.Int32
 
-	// Guarded by k.mu: the delivered index, the parked owner task, and the
-	// armed deadline.
+	// Guarded by k.mu: the delivered index and the parked owner task, which
+	// holds the armed deadline, if any.
 	idx   int
 	owner *task
-	t     *timer
 }
 
 const (
@@ -91,10 +90,6 @@ func (s *Selector) TryWake(idx int) bool {
 	s.state.Store(selWoken)
 	s.idx = idx
 	if c := s.owner; c != nil {
-		if s.t != nil {
-			s.t.dead = true
-			s.t = nil
-		}
 		s.owner, c.sel = nil, nil
 		k.readyLocked(c)
 	}
@@ -129,10 +124,7 @@ func (s *Selector) Wait(ctx context.Context, deadline time.Duration) (int, error
 	s.state.Store(selArmed)
 	s.owner, c.sel = c, s
 	if deadline > 0 {
-		t := getTimer()
-		t.sel = s
-		k.scheduleLocked(t, k.now.Load()+deadline)
-		s.t = t
+		k.scheduleLocked(c, k.now.Load()+deadline)
 	}
 	if err := k.parkLocked(c, ctx, done); err != nil {
 		return 0, err

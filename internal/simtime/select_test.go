@@ -101,7 +101,7 @@ func TestSelectWokenBySourceAtSameVirtualInstant(t *testing.T) {
 	})
 }
 
-func TestSelectHeartbeatIsDeterministicUnderVirtual(t *testing.T) {
+func TestSelectExpiryIsDeterministicUnderVirtual(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
 		src := &fakeSource{}
@@ -117,7 +117,7 @@ func TestSelectHeartbeatIsDeterministicUnderVirtual(t *testing.T) {
 	})
 }
 
-func TestSelectSourceBeatsLaterHeartbeat(t *testing.T) {
+func TestSelectSourceBeatsLaterExpiry(t *testing.T) {
 	k := NewVirtual()
 	k.Run(func() {
 		src := &fakeSource{}

@@ -9,7 +9,7 @@
 //
 // Virtual runs exactly one tracked task at a time. Each task is a coroutine;
 // a single driver resumes ready tasks in FIFO order and, when none is ready,
-// fires the next batch of timers. Parking (Sleep, Waiter.Wait,
+// fires the earliest pending deadline. Parking (Sleep, Waiter.Wait,
 // Selector.Wait/Select, and the WaitGroup and Barrier built on them) hands
 // control straight back to the driver, and a wake appends the parked task to
 // the ready FIFO. Same-instant order is therefore a pure function of the
@@ -152,11 +152,11 @@ type Virtual struct {
 	ext     chan struct{}
 	stall   *time.Timer // the driver's deadlock timer, reused
 
-	timers timerHeap
-	// byDeadline maps a pending deadline to its heap node, so timers sharing
-	// a deadline chain off a single node: scheduling them is O(1) and firing
-	// them needs one heap pop for the whole batch.
-	byDeadline map[time.Duration]*timer
+	// timers holds the pending deadlines of parked tasks, one per task at
+	// most; a claim or cancellation removes a deadline at once. timerSeq
+	// numbers deadlines in the order they were set, to order ties.
+	timers   timerHeap
+	timerSeq uint64
 
 	// watches holds one cancellation watch per context Done channel that a
 	// task has parked on; scan lists the foreign watches that have parked
@@ -171,11 +171,10 @@ type Virtual struct {
 // NewVirtual returns a virtual runtime starting at time zero.
 func NewVirtual() *Virtual {
 	return &Virtual{
-		idle:       closedChan(),
-		ext:        make(chan struct{}, 1),
-		byDeadline: make(map[time.Duration]*timer),
-		watches:    make(map[<-chan struct{}]*ctxWatch),
-		owned:      make(map[<-chan struct{}]struct{}),
+		idle:    closedChan(),
+		ext:     make(chan struct{}, 1),
+		watches: make(map[<-chan struct{}]*ctxWatch),
+		owned:   make(map[<-chan struct{}]struct{}),
 	}
 }
 
@@ -255,10 +254,7 @@ func (k *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 	}
 	k.mu.Lock()
 	c := k.currentLocked()
-	t := getTimer()
-	t.owner = c
-	c.sleep = t
-	k.scheduleLocked(t, k.now.Load()+d)
+	k.scheduleLocked(c, k.now.Load()+d)
 	return k.parkLocked(c, ctx, done)
 }
 

@@ -29,7 +29,7 @@ done
 # traced twin (tracing overhead must stay under budget), and the hot-path
 # microbenchmarks.
 BENCH="${BENCH:-BenchmarkLoaderSessionThroughput|BenchmarkSimulateSmallSession|BenchmarkHeadlineSpeedup|BenchmarkPipelineCostModel|BenchmarkFleetSession|BenchmarkClusterTenants|BenchmarkMultiNode\$|BenchmarkChurn|BenchmarkWarmEpoch|BenchmarkServe}"
-MICRO="${MICRO:-BenchmarkVirtualSleep|BenchmarkSelectorWakeWait|BenchmarkVirtualSameDeadlineSleepers|BenchmarkProfilerRecord|BenchmarkPoolSharedContention}"
+MICRO="${MICRO:-BenchmarkVirtualSleep|BenchmarkSelectorWakeWait|BenchmarkVirtualSameDeadlineSleepers|BenchmarkSelectorDeadlineClaimed|BenchmarkVirtualDistinctDeadlines|BenchmarkProfilerRecord|BenchmarkPoolSharedContention}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
